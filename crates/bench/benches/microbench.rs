@@ -8,7 +8,7 @@ use std::hint::black_box;
 use fh_core::{AdmissionLimit, BufferPool};
 use fh_net::{doc_subnet, FlowId, LinkSpec, Packet, ServiceClass, Topology};
 use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan};
-use fh_sim::{EventQueue, QueueKind, Rng64, SimDuration, SimTime};
+use fh_sim::{EventQueue, LaneQueue, QueueKind, Rng64, SimDuration, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -66,6 +66,30 @@ fn bench_event_queue(c: &mut Criterion) {
                 })
             });
         }
+    }
+    // The metro kernel's pattern: the population is seeded at scattered
+    // times (heap path), then every pop reschedules at a constant delay
+    // and so rides a FIFO lane. 64 and 100k are the populations the perf
+    // harness probes the heap and calendar at.
+    for n in [64u64, 100_000] {
+        let steps = 200_000u64;
+        g.throughput(Throughput::Elements(steps));
+        g.bench_with_input(BenchmarkId::new("hold_model_lanes", n), &n, |b, &n| {
+            b.iter(|| {
+                let mut rng = Rng64::seed_from(9);
+                let mut q: LaneQueue<u64, 1> = LaneQueue::new();
+                for i in 0..n {
+                    q.push(SimTime::from_nanos(rng.gen_range_u64(1_000_000)), i);
+                }
+                let mut sink = 0u64;
+                for _ in 0..steps {
+                    let (t, e) = q.pop().expect("population is steady");
+                    sink ^= e;
+                    q.push_lane(0, t + SimDuration::from_nanos(1_000_000), e);
+                }
+                black_box(sink)
+            })
+        });
     }
     g.finish();
 }

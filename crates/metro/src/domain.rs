@@ -1,7 +1,7 @@
 //! One MAP domain as a shard of the metro kernel.
 //!
 //! A [`Domain`] is a self-contained discrete-event loop over the hosts
-//! homed in it: it owns its event queue, its RNG lineage (derived with
+//! homed in it: it owns its event set, its RNG lineage (derived with
 //! the domain salt so it can never collide with sweep-point or
 //! fault-link streams), its [`PacketPool`], and its counters. The only
 //! way anything enters or leaves is the epoch executor's mailbox — a
@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use fh_core::Scheme;
 use fh_net::{doc_subnet, FlowId, Packet, PacketPool, ServiceClass};
 use fh_sim::stats::Histogram;
-use fh_sim::{derive_domain_seed, EventQueue, Outbox, Rng64, ShardState, SimDuration, SimTime};
+use fh_sim::{derive_domain_seed, LaneQueue, Outbox, Rng64, ShardState, SimDuration, SimTime};
 
 use crate::MetroConfig;
 
@@ -42,10 +42,25 @@ pub const ACCESS_LATENCY: SimDuration = SimDuration::from_millis(2);
 /// smooth-handover draft re-tunnels them across the inter-AR path.
 pub const PAR_FORWARD_DELAY: SimDuration = SimDuration::from_millis(8);
 
-/// Upper edge of the per-class delay histograms, in milliseconds.
-const DELAY_HI_MS: f64 = 2_000.0;
-/// Bin count of the per-class delay histograms (1 ms bins).
-const DELAY_BINS: usize = 2_000;
+/// An empty per-class delay histogram: 0–2 000 ms in 1 ms bins. The
+/// per-domain histograms and the run-level ones they merge into must
+/// share this shape, so both are built here.
+#[must_use]
+pub fn delay_histogram() -> Histogram {
+    Histogram::new(0.0, 2_000.0, 2_000)
+}
+
+// The FIFO lanes of a domain's event set. Each carries one stream that
+// is pushed at `now + constant` and is therefore already time-sorted;
+// the initial population, `HandoverStart` (exponential dwell) and paced
+// `Deliver`s have no such order and go to the heap.
+const LANE_GEN: usize = 0;
+const LANE_ARRIVE: usize = 1;
+const LANE_HANDOVER_END: usize = 2;
+/// Boundary arrivals, one time-sorted batch per barrier (see
+/// [`Domain::flush_inbox`]).
+const LANE_ACCEPT: usize = 3;
+const LANES: usize = 4;
 
 /// A packet in flight between domains: the hot fields only, because
 /// pools — and therefore handles — do not cross shard boundaries.
@@ -63,16 +78,23 @@ pub struct CrossPacket {
     pub created: SimTime,
 }
 
-/// The per-domain event vocabulary.
+/// The per-domain event vocabulary. Every pending event is stored
+/// inline in the event set, so this stays at 24 bytes (pinned by a test).
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// The correspondent of `host` emits its next packet. Scheduled in
-    /// the *source* domain (the home domain for local flows, the
-    /// correspondent domain for remote ones).
-    Gen { host: u32 },
+    /// The correspondent of `host` emits packet `seq` of its flow.
+    /// Scheduled in the *source* domain (the home domain for local
+    /// flows, the correspondent domain for remote ones).
+    Gen { host: u32, seq: u64 },
     /// A packet reaches `host`'s home domain and meets the buffer
-    /// scheme (or the host directly).
-    Arrive(CrossPacket),
+    /// scheme (or the host directly). A [`CrossPacket`] minus its size,
+    /// which is `cfg.packet_bytes` for every packet.
+    Arrive {
+        host: u32,
+        class: u8,
+        seq: u64,
+        created: SimTime,
+    },
     /// `host` begins a handover: radio goes dark.
     HandoverStart { host: u32 },
     /// `host` completes attachment: flush whatever was buffered.
@@ -143,37 +165,28 @@ impl ClassCounts {
     }
 }
 
-/// The mutable per-host state a domain tracks.
-#[derive(Debug, Clone, Default)]
-struct HostState {
-    /// Radio dark (handover in progress).
-    blackout: bool,
-    /// Parked packets, oldest first, as pool handles.
-    buffer: VecDeque<fh_net::PacketHandle>,
-    /// Next per-flow sequence number.
-    next_seq: u64,
-    /// Current access router within the domain (cosmetic rotation).
-    ar: u32,
-}
-
 /// One MAP domain: an independent shard of the metro simulation.
 #[derive(Debug)]
 pub struct Domain {
     /// This domain's index (== its shard index).
     pub index: u32,
     cfg: MetroConfig,
-    queue: EventQueue<Ev>,
+    queue: LaneQueue<Ev, LANES>,
     rng: Rng64,
     pool: PacketPool,
-    hosts: Vec<u32>,
-    /// Dense per-host state, indexed by position in `hosts`.
-    state: Vec<HostState>,
-    /// Global host index → dense slot, for hosts homed here.
-    slot_of: std::collections::HashMap<u32, u32>,
-    /// Per-flow sequence counters for remote flows sourced here (their
-    /// hosts are homed elsewhere, so they have no dense slot).
-    remote_counters: std::collections::HashMap<u32, u64>,
+    /// Radio dark (handover in progress), per host homed here, indexed
+    /// by [`MetroConfig::home_slot`]. Every arrival reads this and almost
+    /// none goes on to the buffers, so it is its own dense array: one
+    /// byte per host stays cache-resident at 100k hosts where a
+    /// flag-plus-`VecDeque` record per host does not.
+    blackout: Vec<bool>,
+    /// Parked packets per host, oldest first, as pool handles. Same
+    /// indexing.
+    buffer: Vec<VecDeque<fh_net::PacketHandle>>,
     now: SimTime,
+    /// Boundary arrivals accepted at the last barrier, not yet in the
+    /// event set.
+    inbox: Vec<(SimTime, Ev)>,
     /// Deterministic tallies.
     pub counts: ClassCounts,
     /// Per-class delivered-delay histograms (milliseconds).
@@ -194,34 +207,34 @@ impl Domain {
     /// chain per host homed here.
     #[must_use]
     pub fn new(index: u32, cfg: &MetroConfig) -> Self {
+        let homed = cfg.homed_in(index) as usize;
+        let sourced = (0..cfg.hosts)
+            .filter(|&h| cfg.source_domain(h) == index)
+            .count();
         let mut d = Domain {
             index,
             cfg: cfg.clone(),
-            queue: EventQueue::new(),
+            queue: LaneQueue::new(),
             rng: Rng64::seed_from(derive_domain_seed(cfg.seed, index)),
             pool: PacketPool::new(),
-            hosts: Vec::new(),
-            state: Vec::new(),
-            slot_of: std::collections::HashMap::new(),
-            remote_counters: std::collections::HashMap::new(),
+            blackout: vec![false; homed],
+            buffer: vec![VecDeque::new(); homed],
             now: SimTime::ZERO,
+            inbox: Vec::new(),
             counts: ClassCounts::default(),
-            delay: [
-                Histogram::new(0.0, DELAY_HI_MS, DELAY_BINS),
-                Histogram::new(0.0, DELAY_HI_MS, DELAY_BINS),
-                Histogram::new(0.0, DELAY_HI_MS, DELAY_BINS),
-            ],
+            delay: std::array::from_fn(|_| delay_histogram()),
             events_processed: 0,
             handovers: 0,
             boundary_tx: (0, 0),
             boundary_rx: (0, 0),
         };
+        // Exact capacities: the seeding burst below is the heap's peak
+        // population, and one `Gen` per sourced flow is pending at any
+        // time once the chains have moved to their lane.
+        d.queue.reserve_heap_exact(homed + sourced);
+        d.queue.reserve_lane_exact(LANE_GEN, sourced);
         for host in 0..cfg.hosts {
             if cfg.home_domain(host) == index {
-                let slot = d.hosts.len() as u32;
-                d.hosts.push(host);
-                d.state.push(HostState::default());
-                d.slot_of.insert(host, slot);
                 // First residence interval, drawn from this domain's
                 // stream in host order (deterministic).
                 let residence = d.residence();
@@ -235,16 +248,49 @@ impl Domain {
                 // Stagger first emissions so 100k hosts don't fire on
                 // the same nanosecond.
                 let phase = cfg.packet_interval * u64::from(host % 128) / 128;
-                d.queue.push(cfg.traffic_start + phase, Ev::Gen { host });
+                d.queue
+                    .push(cfg.traffic_start + phase, Ev::Gen { host, seq: 0 });
             }
         }
+        // First dwells that end beyond the horizon were never pushed.
+        d.queue.shrink_heap_to_fit();
         d
     }
 
     /// Number of hosts homed in this domain.
     #[must_use]
     pub fn homed_hosts(&self) -> u32 {
-        self.hosts.len() as u32
+        self.blackout.len() as u32
+    }
+
+    /// `(lane, heap)` pushes into this domain's event set so far — a
+    /// deterministic work counter (see [`LaneQueue::heap_pushes`]).
+    #[must_use]
+    pub fn queue_pushes(&self) -> (u64, u64) {
+        (self.queue.lane_pushes(), self.queue.heap_pushes())
+    }
+
+    /// Moves the last barrier's arrivals into the event set, earliest
+    /// first. The barrier hands them over sorted per source domain only,
+    /// so pushed as they come all but the first source's would fall back
+    /// to the heap — and would do so inside the sequential exchange.
+    /// Sorting the batch first (stably, so equal times keep their
+    /// (source, send order) rank) lets the whole batch ride the lane and
+    /// moves the work into the parallel `advance`. Pop order is
+    /// unchanged: nothing else is pushed between a barrier's accepts, so
+    /// the batch owns one contiguous block of `seq` stamps either way,
+    /// and within the block both orders rank by (time, arrival order).
+    fn flush_inbox(&mut self) {
+        self.inbox.sort_by_key(|&(t, _)| t);
+        for (t, ev) in self.inbox.drain(..) {
+            self.queue.push_lane(LANE_ACCEPT, t, ev);
+        }
+    }
+
+    /// Index into `blackout` and `buffer` of a host homed here.
+    fn slot(&self, host: u32) -> usize {
+        debug_assert_eq!(self.cfg.home_domain(host), self.index);
+        self.cfg.home_slot(host) as usize
     }
 
     /// Exponential residence time from this domain's RNG, floored at
@@ -281,35 +327,35 @@ impl Domain {
 
     /// A packet meets its host: delivered directly, parked, or dropped
     /// per the scheme's admission matrix.
-    fn arrive(&mut self, cp: CrossPacket) {
-        let slot = self.slot_of[&cp.host] as usize;
-        if !self.state[slot].blackout {
-            self.deliver(cp.class, cp.created);
+    fn arrive(&mut self, host: u32, class: u8, seq: u64, created: SimTime) {
+        let slot = self.slot(host);
+        if !self.blackout[slot] {
+            self.deliver(class, created);
             return;
         }
         let cap = self.buffer_cap();
-        let k = cp.class as usize;
+        let k = class as usize;
         if cap == 0 {
             self.counts.dropped_blackout[k] += 1;
             return;
         }
-        if self.state[slot].buffer.len() < cap {
-            self.park(slot, cp);
+        if self.buffer[slot].len() < cap {
+            self.park(host, class, seq, created);
             return;
         }
         // Full. The class-aware matrix sacrifices the oldest parked
         // best-effort packet to admit real-time / high-priority traffic.
         if self.cfg.scheme.classifies() && CLASSES[k] != ServiceClass::BestEffort {
-            let be_pos = self.state[slot].buffer.iter().position(|&h| {
+            let be_pos = self.buffer[slot].iter().position(|&h| {
                 self.pool
                     .slot(h)
                     .is_some_and(|s| s.effective_class() == ServiceClass::BestEffort)
             });
             if let Some(pos) = be_pos {
-                let victim = self.state[slot].buffer.remove(pos).expect("position valid");
+                let victim = self.buffer[slot].remove(pos).expect("position valid");
                 self.pool.remove(victim);
                 self.counts.dropped_evicted[2] += 1;
-                self.park(slot, cp);
+                self.park(host, class, seq, created);
                 return;
             }
         }
@@ -317,69 +363,83 @@ impl Domain {
     }
 
     /// Parks one packet in the pool and the host's FIFO.
-    fn park(&mut self, slot: usize, cp: CrossPacket) {
-        let host = self.hosts[slot];
+    fn park(&mut self, host: u32, class: u8, seq: u64, created: SimTime) {
         let pkt = Packet::data(
             FlowId(host),
-            cp.seq,
+            seq,
             doc_subnet(self.cfg.source_domain(host) as u16).host(u64::from(host) + 1),
             doc_subnet(self.index as u16).host(u64::from(host) + 1),
-            CLASSES[cp.class as usize],
-            cp.size,
-            cp.created,
+            CLASSES[class as usize],
+            self.cfg.packet_bytes,
+            created,
         );
         let handle = self.pool.insert(pkt);
-        self.state[slot].buffer.push_back(handle);
+        let slot = self.slot(host);
+        self.buffer[slot].push_back(handle);
     }
 
     fn handle(&mut self, ev: Ev, outbox: &mut Outbox<CrossPacket>) {
         match ev {
-            Ev::Gen { host } => {
+            Ev::Gen { host, seq } => {
                 if self.now >= self.cfg.traffic_stop {
                     return; // chain ends; no reschedule
                 }
                 let home = self.cfg.home_domain(host);
-                let slot_ref = self.slot_of.get(&host).copied();
-                let seq = if home == self.index {
-                    let s = slot_ref.expect("local flow host homed here") as usize;
-                    let seq = self.state[s].next_seq;
-                    self.state[s].next_seq += 1;
-                    seq
-                } else {
-                    // Remote flow: the correspondent keeps its own count.
-                    self.remote_seq(host)
-                };
                 let class = (host % 3) as u8;
+                let created = self.now;
                 self.counts.generated[class as usize] += 1;
-                let cp = CrossPacket {
-                    host,
-                    class,
-                    size: self.cfg.packet_bytes,
-                    seq,
-                    created: self.now,
-                };
                 if home == self.index {
-                    self.queue.push(self.now + ACCESS_LATENCY, Ev::Arrive(cp));
+                    self.queue.push_lane(
+                        LANE_ARRIVE,
+                        self.now + ACCESS_LATENCY,
+                        Ev::Arrive {
+                            host,
+                            class,
+                            seq,
+                            created,
+                        },
+                    );
                 } else {
+                    let size = self.cfg.packet_bytes;
                     self.boundary_tx.0 += 1;
-                    self.boundary_tx.1 += u64::from(cp.size);
-                    outbox.send(home as usize, self.now + self.cfg.boundary_latency, cp);
+                    self.boundary_tx.1 += u64::from(size);
+                    outbox.send(
+                        home as usize,
+                        self.now + self.cfg.boundary_latency,
+                        CrossPacket {
+                            host,
+                            class,
+                            size,
+                            seq,
+                            created,
+                        },
+                    );
                 }
-                self.queue
-                    .push(self.now + self.cfg.packet_interval, Ev::Gen { host });
+                self.queue.push_lane(
+                    LANE_GEN,
+                    self.now + self.cfg.packet_interval,
+                    Ev::Gen { host, seq: seq + 1 },
+                );
             }
-            Ev::Arrive(cp) => self.arrive(cp),
+            Ev::Arrive {
+                host,
+                class,
+                seq,
+                created,
+            } => self.arrive(host, class, seq, created),
             Ev::HandoverStart { host } => {
-                let slot = self.slot_of[&host] as usize;
-                self.state[slot].blackout = true;
-                self.state[slot].ar = (self.state[slot].ar + 1) % self.cfg.ars_per_domain.max(1);
+                let slot = self.slot(host);
+                self.blackout[slot] = true;
                 self.handovers += 1;
-                self.queue
-                    .push(self.now + self.cfg.blackout, Ev::HandoverEnd { host });
+                self.queue.push_lane(
+                    LANE_HANDOVER_END,
+                    self.now + self.cfg.blackout,
+                    Ev::HandoverEnd { host },
+                );
             }
             Ev::HandoverEnd { host } => {
-                let slot = self.slot_of[&host] as usize;
-                self.state[slot].blackout = false;
+                let slot = self.slot(host);
+                self.blackout[slot] = false;
                 // Flush, oldest first, paced by the flush spacing; the
                 // PAR-only draft pays the inter-AR re-tunnel on top.
                 let extra = if self.cfg.scheme == Scheme::ParOnly {
@@ -388,7 +448,7 @@ impl Domain {
                     SimDuration::ZERO
                 };
                 let mut i = 0u64;
-                while let Some(handle) = self.state[slot].buffer.pop_front() {
+                while let Some(handle) = self.buffer[slot].pop_front() {
                     let pkt = self.pool.remove(handle).expect("parked handle is live");
                     let class = CLASSES
                         .iter()
@@ -416,33 +476,21 @@ impl Domain {
         }
     }
 
-    /// Deterministic per-packet sequence for remote flows (the
-    /// correspondent domain does not track the host's state densely).
-    fn remote_seq(&mut self, host: u32) -> u64 {
-        // A per-host monotonic counter kept in the same map the home
-        // domain uses for slots would collide; remote flows instead use
-        // the generation count the artifact never depends on per-packet.
-        let e = self.remote_counters.entry(host).or_insert(0);
-        let v = *e;
-        *e += 1;
-        v
-    }
-
     /// Drains everything still queued or parked after the horizon and
     /// books it as horizon drops, making conservation exact. Returns
     /// `true` if the pool came back empty (leak-clean).
     pub fn finalize(&mut self) -> bool {
+        self.flush_inbox();
         while let Some((_, ev)) = self.queue.pop() {
             match ev {
-                Ev::Arrive(cp) => self.counts.dropped_horizon[cp.class as usize] += 1,
-                Ev::Deliver { class, .. } => {
+                Ev::Arrive { class, .. } | Ev::Deliver { class, .. } => {
                     self.counts.dropped_horizon[class as usize] += 1;
                 }
                 Ev::Gen { .. } | Ev::HandoverStart { .. } | Ev::HandoverEnd { .. } => {}
             }
         }
-        for slot in 0..self.state.len() {
-            while let Some(handle) = self.state[slot].buffer.pop_front() {
+        for buffer in &mut self.buffer {
+            while let Some(handle) = buffer.pop_front() {
                 let pkt = self.pool.remove(handle).expect("parked handle is live");
                 let k = CLASSES
                     .iter()
@@ -461,15 +509,20 @@ impl ShardState for Domain {
     fn accept(&mut self, arrival: SimTime, msg: CrossPacket) {
         self.boundary_rx.0 += 1;
         self.boundary_rx.1 += u64::from(msg.size);
-        self.queue.push(arrival, Ev::Arrive(msg));
+        self.inbox.push((
+            arrival,
+            Ev::Arrive {
+                host: msg.host,
+                class: msg.class,
+                seq: msg.seq,
+                created: msg.created,
+            },
+        ));
     }
 
     fn advance(&mut self, horizon: SimTime, outbox: &mut Outbox<CrossPacket>) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event exists");
+        self.flush_inbox();
+        while let Some((t, ev)) = self.queue.pop_before(horizon) {
             self.now = t;
             self.events_processed += 1;
             self.handle(ev, outbox);
@@ -478,6 +531,18 @@ impl ShardState for Domain {
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
+        self.flush_inbox();
         self.queue.peek_time()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn event_stays_at_24_bytes() {
+        // Pending events are stored inline in the lanes and the heap,
+        // ~2 per host: a wider `Ev` is paid in peak memory and in every
+        // heap sift.
+        assert!(std::mem::size_of::<super::Ev>() <= 24);
     }
 }

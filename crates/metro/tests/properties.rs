@@ -14,6 +14,7 @@
 use fh_core::Scheme;
 use fh_metro::{run, MetroConfig};
 use fh_sim::{SimDuration, SimTime};
+use fh_telemetry::report::fnv1a64;
 use proptest::prelude::*;
 
 fn arb_scheme() -> impl Strategy<Value = Scheme> {
@@ -101,5 +102,59 @@ proptest! {
             seq.registry.counter_value("metro.events"),
             par.registry.counter_value("metro.events")
         );
+    }
+}
+
+/// FNV-1a-64 of `run(cfg, 1).artifact()` at 2 000 hosts for every
+/// [`Scheme::ALL`] member on one and on four domains, recorded on the
+/// `EventQueue` kernel before the lane queue replaced it. Blackouts are
+/// long and reservations short so buffers overflow and the schemes
+/// diverge. The artifact carries per-domain event counts, per-class
+/// drops and p99 delays, so a pop-order drift that changes any outcome
+/// — a lane push overtaking a heap push, say — moves one of these.
+const ARTIFACT_PINS: [(u32, [u64; 6]); 2] = [
+    (
+        1,
+        [
+            0x44d9_2465_757c_48dd,
+            0xab6a_a1bb_294c_cb88,
+            0x71b9_0e96_14ef_5c91,
+            0x71b9_0e96_14ef_5c91,
+            0x4b4e_6df8_eb14_cf69,
+            0x44d9_2465_757c_48dd,
+        ],
+    ),
+    (
+        4,
+        [
+            0x927e_e834_ca1b_9ccd,
+            0x2431_d19f_31ad_56e0,
+            0x9028_a915_ea57_ab9b,
+            0x9028_a915_ea57_ab9b,
+            0x5aee_b963_d4ac_7b78,
+            0x927e_e834_ca1b_9ccd,
+        ],
+    ),
+];
+
+#[test]
+fn artifacts_match_the_pinned_pop_order() {
+    for (domains, pins) in ARTIFACT_PINS {
+        for (scheme, want) in Scheme::ALL.into_iter().zip(pins) {
+            let cfg = MetroConfig {
+                hosts: 2_000,
+                domains,
+                scheme,
+                blackout: SimDuration::from_millis(400),
+                mean_residence: SimDuration::from_millis(1_500),
+                buffer_request: 4,
+                ..MetroConfig::default()
+            };
+            let got = fnv1a64(run(&cfg, 1).artifact().as_bytes());
+            assert_eq!(
+                got, want,
+                "{scheme:?} on {domains} domain(s): artifact hashes to {got:#018x}"
+            );
+        }
     }
 }

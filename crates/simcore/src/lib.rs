@@ -47,6 +47,7 @@
 mod actor;
 mod backoff;
 mod calendar;
+mod lanes;
 mod queue;
 mod rng;
 pub mod shard;
@@ -55,6 +56,7 @@ mod time;
 
 pub use actor::{Actor, ActorId, AsAny, Ctx, Simulator};
 pub use backoff::Backoff;
+pub use lanes::LaneQueue;
 pub use queue::{EventKey, EventQueue, QueueKind};
 pub use rng::{derive_domain_seed, derive_seed, Rng64, DOMAIN_SALT};
 pub use shard::{run_epochs, EpochReport, Outbox, ShardState};

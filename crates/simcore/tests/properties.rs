@@ -1,7 +1,7 @@
 //! Property tests for the simulation kernel.
 
 use fh_sim::stats::{TimeSeries, Welford};
-use fh_sim::{EventQueue, QueueKind, Rng64, SimDuration, SimTime};
+use fh_sim::{EventQueue, LaneQueue, QueueKind, Rng64, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// One step of a randomized schedule/cancel/pop interleaving, applied in
@@ -34,7 +34,92 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     ]
 }
 
+/// One step of a push/pop script applied in lockstep to a [`LaneQueue`]
+/// and the [`EventQueue`] it must be order-equivalent to.
+#[derive(Debug, Clone)]
+enum LaneOp {
+    /// Schedule at `clock + jitter`, through lane `Some(i)` or straight
+    /// to the heap (`None`; the reference queue has only that path).
+    Push(Option<usize>, u64),
+    /// Peek, then pop, on both queues.
+    Pop,
+    /// `pop_before(clock + window)` against the reference's peek-then-pop.
+    PopBefore(u64),
+}
+
+fn lane_op() -> impl Strategy<Value = LaneOp> {
+    // Jitter is drawn independently per push, so roughly half of the
+    // pushes into a lane are earlier than its last one and must fall
+    // back. Zero jitter ties with the last popped time, and the same
+    // timestamp then lands in different lanes and in the heap.
+    let target = || prop_oneof![Just(None), (0usize..3).prop_map(Some)];
+    prop_oneof![
+        (target(), 0u64..5_000).prop_map(|(l, j)| LaneOp::Push(l, j)),
+        (target(), 0u64..5_000).prop_map(|(l, j)| LaneOp::Push(l, j)),
+        (target(), 0u64..4).prop_map(|(l, j)| LaneOp::Push(l, j)), // ties
+        target().prop_map(|l| LaneOp::Push(l, 0)),                 // ties with now
+        // A far-future item parks at a lane's tail: every later near push
+        // into that lane falls back until it drains.
+        (0usize..3).prop_map(|l| LaneOp::Push(Some(l), 1_000_000_000)),
+        Just(LaneOp::Pop),
+        Just(LaneOp::Pop),
+        (0u64..3_000).prop_map(LaneOp::PopBefore),
+    ]
+}
+
 proptest! {
+    /// For any push sequence — sorted or not, through any lane or none —
+    /// a `LaneQueue` pops exactly what an `EventQueue` pops.
+    #[test]
+    fn lane_queue_matches_event_queue(ops in prop::collection::vec(lane_op(), 1..400)) {
+        let mut lanes: LaneQueue<u64, 3> = LaneQueue::new();
+        let mut reference: EventQueue<u64> = EventQueue::new();
+        let mut clock = 0u64;
+        let mut pushes = 0u64;
+        for (i, op) in ops.into_iter().enumerate() {
+            let got = match op {
+                LaneOp::Push(lane, jitter) => {
+                    pushes += 1;
+                    let t = SimTime::from_nanos(clock + jitter);
+                    match lane {
+                        Some(l) => lanes.push_lane(l, t, i as u64),
+                        None => lanes.push(t, i as u64),
+                    }
+                    reference.push(t, i as u64);
+                    None
+                }
+                LaneOp::Pop => {
+                    prop_assert_eq!(lanes.peek_time(), reference.peek_time());
+                    let got = lanes.pop();
+                    prop_assert_eq!(got, reference.pop());
+                    got
+                }
+                LaneOp::PopBefore(window) => {
+                    let horizon = SimTime::from_nanos(clock + window);
+                    let want = match reference.peek_time() {
+                        Some(t) if t < horizon => reference.pop(),
+                        _ => None,
+                    };
+                    let got = lanes.pop_before(horizon);
+                    prop_assert_eq!(got, want);
+                    got
+                }
+            };
+            if let Some((t, _)) = got {
+                clock = t.as_nanos();
+            }
+            prop_assert_eq!(lanes.len(), reference.len());
+        }
+        prop_assert_eq!(lanes.lane_pushes() + lanes.heap_pushes(), pushes);
+        loop {
+            let got = lanes.pop();
+            prop_assert_eq!(got, reference.pop());
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+
     /// Events pop in nondecreasing time order, FIFO within a timestamp.
     #[test]
     fn event_queue_pops_sorted_stable(times in prop::collection::vec(0u64..1_000, 1..200)) {
