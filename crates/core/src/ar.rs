@@ -30,10 +30,9 @@
 //!   creation, negotiation, flush release), plus the soft-state
 //!   reclamation in [`crate::soft_state`].
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
-use fh_sim::{EventKey, SimDuration, SimTime};
+use fh_sim::{EventKey, FastMap, SimDuration, SimTime};
 
 use fh_net::{
     send_from, ApId, ControlMsg, DropReason, NetCtx, NetMsg, NodeFaultSpec, NodeId, Packet,
@@ -69,17 +68,17 @@ pub struct ArAgent {
     /// `false` while crashed: every event except the restart timer is
     /// swallowed, and arriving data packets are reclaimed.
     pub(crate) alive: bool,
-    pub(crate) ap_directory: HashMap<ApId, Ipv6Addr>,
+    pub(crate) ap_directory: FastMap<ApId, Ipv6Addr>,
     /// Live expiry token and timer key per soft-state host route (empty
     /// while `host_route_lifetime` is `MAX`: routes are then hard state).
-    pub(crate) route_tokens: HashMap<Ipv6Addr, (u64, EventKey)>,
+    pub(crate) route_tokens: FastMap<Ipv6Addr, (u64, EventKey)>,
     /// Last time each peer router was heard from (dead-peer discovery).
-    pub(crate) peer_last_heard: HashMap<Ipv6Addr, SimTime>,
-    pub(crate) par_sessions: HashMap<Ipv6Addr, ParSession>,
-    pub(crate) nar_sessions: HashMap<Ipv6Addr, NarSession>,
-    pub(crate) hi_rtx: HashMap<Ipv6Addr, HiRtx>,
-    pub(crate) flushing: HashMap<Ipv6Addr, (FlushTarget, u64)>,
-    pub(crate) timer_sessions: HashMap<u64, Ipv6Addr>,
+    pub(crate) peer_last_heard: FastMap<Ipv6Addr, SimTime>,
+    pub(crate) par_sessions: FastMap<Ipv6Addr, ParSession>,
+    pub(crate) nar_sessions: FastMap<Ipv6Addr, NarSession>,
+    pub(crate) hi_rtx: FastMap<Ipv6Addr, HiRtx>,
+    pub(crate) flushing: FastMap<Ipv6Addr, (FlushTarget, u64)>,
+    pub(crate) timer_sessions: FastMap<u64, Ipv6Addr>,
     pub(crate) next_token: u64,
     pub(crate) auth_seed: u64,
 }
@@ -107,14 +106,14 @@ impl ArAgent {
             node_fault: NodeFaultSpec::default(),
             dp,
             alive: true,
-            ap_directory: HashMap::new(),
-            route_tokens: HashMap::new(),
-            peer_last_heard: HashMap::new(),
-            par_sessions: HashMap::new(),
-            nar_sessions: HashMap::new(),
-            hi_rtx: HashMap::new(),
-            flushing: HashMap::new(),
-            timer_sessions: HashMap::new(),
+            ap_directory: FastMap::default(),
+            route_tokens: FastMap::default(),
+            peer_last_heard: FastMap::default(),
+            par_sessions: FastMap::default(),
+            nar_sessions: FastMap::default(),
+            hi_rtx: FastMap::default(),
+            flushing: FastMap::default(),
+            timer_sessions: FastMap::default(),
             next_token: 1,
             auth_seed: 0x5eed,
         }
@@ -174,8 +173,8 @@ impl ArAgent {
         self.alive
     }
 
-    /// All installed host routes, sorted by address (HashMap iteration
-    /// order is nondeterministic). The leak auditor cross-checks each
+    /// All installed host routes, sorted by address (map iteration order
+    /// is hash order). The leak auditor cross-checks each
     /// entry against the radio attachment table.
     #[must_use]
     pub fn neighbor_entries(&self) -> Vec<(Ipv6Addr, NodeId)> {

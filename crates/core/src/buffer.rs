@@ -27,10 +27,11 @@
 //! out — and reassembly is field-for-field exact, so the layout is
 //! invisible to behavior.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv6Addr;
 
 use fh_net::{Packet, PacketHandle, PacketPool, ServiceClass};
+use fh_sim::FastMap;
 use serde::{Deserialize, Serialize};
 
 use crate::policy::AdmissionLimit;
@@ -107,7 +108,7 @@ pub struct BufferPool {
     bytes_used: usize,
     /// High-water mark of `bytes_used` over the pool's lifetime.
     peak_bytes: usize,
-    sessions: HashMap<Ipv6Addr, SessionBuffer>,
+    sessions: FastMap<Ipv6Addr, SessionBuffer>,
     /// Struct-of-arrays storage for every parked packet, shared by all
     /// sessions; session queues hold handles into it.
     arena: PacketPool,
@@ -127,7 +128,7 @@ impl BufferPool {
             byte_budget: usize::MAX,
             bytes_used: 0,
             peak_bytes: 0,
-            sessions: HashMap::new(),
+            sessions: FastMap::default(),
             arena: PacketPool::new(),
             stats: BufferStats::default(),
         }

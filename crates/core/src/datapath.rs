@@ -17,13 +17,13 @@
 //! full") is returned as a [`TunnelVerdict`], keeping the dependency
 //! arrow one-way.
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use fh_net::{
     send_from, transmit_on, ApId, ControlMsg, DropReason, LinkId, NetCtx, NodeId, Packet, Payload,
     Prefix,
 };
+use fh_sim::FastMap;
 use fh_wireless::{send_downlink, send_downlink_batch, RadioWorld};
 
 use crate::buffer::BufferPool;
@@ -138,9 +138,9 @@ pub(crate) struct Datapath {
     /// The handover buffer pool.
     pub(crate) pool: BufferPool,
     /// Pinned point-to-point tunnel links per peer router.
-    pub(crate) peer_links: HashMap<Ipv6Addr, LinkId>,
+    pub(crate) peer_links: FastMap<Ipv6Addr, LinkId>,
     /// Installed host routes (FMIPv6 serves the PCoA off-prefix).
-    pub(crate) neighbors: HashMap<Ipv6Addr, NodeId>,
+    pub(crate) neighbors: FastMap<Ipv6Addr, NodeId>,
     /// One-entry memo of the last classified session snapshot.
     verdicts: Option<(VerdictKey, ClassVerdicts)>,
 }
@@ -160,8 +160,8 @@ impl Datapath {
             prefix,
             aps,
             pool: BufferPool::new(pool_capacity),
-            peer_links: HashMap::new(),
-            neighbors: HashMap::new(),
+            peer_links: FastMap::default(),
+            neighbors: FastMap::default(),
             verdicts: None,
         }
     }

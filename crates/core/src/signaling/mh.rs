@@ -17,10 +17,9 @@
 //! The agent is a component: the owning actor forwards events to
 //! [`MhAgent::handle`] and receives application-bound packets back.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
-use fh_sim::{EventKey, SimDuration, SimTime};
+use fh_sim::{EventKey, FastSet, SimDuration, SimTime};
 
 use fh_mip::MipClient;
 use fh_net::{
@@ -182,7 +181,7 @@ pub struct MhAgent {
     /// SafetyNet's selective delivery: the winning copy of a bicast is
     /// passed up, the loser is suppressed as a `Policy` drop. Populated
     /// only when the scheme bicasts; always empty otherwise.
-    delivered_seqs: HashSet<(FlowId, u64)>,
+    delivered_seqs: FastSet<(FlowId, u64)>,
 }
 
 impl MhAgent {
@@ -219,7 +218,7 @@ impl MhAgent {
             log: Vec::new(),
             span: fh_telemetry::SpanId::NONE,
             await_first_delivery: false,
-            delivered_seqs: HashSet::new(),
+            delivered_seqs: FastSet::default(),
         }
     }
 

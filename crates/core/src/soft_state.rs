@@ -3,10 +3,9 @@
 //! sweep. Everything here reclaims state; the signaling layer creates it
 //! and the datapath transmits through it.
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
-use fh_sim::{SimDuration, SimTime};
+use fh_sim::{FastMap, SimDuration, SimTime};
 
 use fh_net::{ApId, DropReason, NetCtx, NetMsg, NodeId, TimerKind};
 use fh_wireless::RadioWorld;
@@ -222,7 +221,7 @@ impl ArAgent {
             return;
         }
         let now = ctx.now();
-        let silent = |heard: &HashMap<Ipv6Addr, SimTime>, peer: Ipv6Addr| {
+        let silent = |heard: &FastMap<Ipv6Addr, SimTime>, peer: Ipv6Addr| {
             heard.get(&peer).copied().unwrap_or(SimTime::ZERO) + timeout <= now
         };
         let mut stale: Vec<Ipv6Addr> = self

@@ -20,10 +20,9 @@
 //! assert_eq!(cache.lookup(home, SimTime::from_secs(11)), None);
 //! ```
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
-use fh_sim::{SimDuration, SimTime};
+use fh_sim::{FastMap, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// One binding-cache entry.
@@ -51,7 +50,7 @@ impl BindingEntry {
 /// A table of stable-address → care-of-address bindings.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BindingCache {
-    entries: HashMap<Ipv6Addr, BindingEntry>,
+    entries: FastMap<Ipv6Addr, BindingEntry>,
     /// Total successful registrations (for statistics).
     pub registrations: u64,
 }

@@ -73,6 +73,9 @@ pub use addr::{doc_subnet, Prefix};
 pub use boundary::{BoundaryFabric, BoundaryLink, DomainId};
 pub use class::{ParseClassError, PerHopBehavior, ServiceClass};
 pub use fault::{FaultSpec, FaultState, FaultVerdict, GilbertElliott, NodeFaultSpec};
+/// Handle type of the counters behind [`NetStats::metrics_mut`], for
+/// components that register once and bump per packet.
+pub use fh_telemetry::CounterId;
 pub use link::{Link, LinkError, LinkId, LinkSpec};
 pub use msg::{ApId, ControlMsg};
 pub use packet::{ConnId, FlowId, Packet, Payload, TcpFlags, TcpSegment};

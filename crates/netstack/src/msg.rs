@@ -349,26 +349,52 @@ impl ControlMsg {
         }
     }
 
+    /// Short names of the message kinds, indexed by
+    /// [`ControlMsg::kind_index`].
+    pub const KIND_NAMES: [&'static str; 15] = [
+        "RA",
+        "RS",
+        "RtSolPr",
+        "PrRtAdv",
+        "HI",
+        "HAck",
+        "FBU",
+        "FBAck",
+        "FNA",
+        "BI",
+        "BA",
+        "BF",
+        "BufferFull",
+        "BU",
+        "BAck",
+    ];
+
+    /// Dense index of this message's kind, for per-kind counter arrays.
+    #[must_use]
+    pub fn kind_index(&self) -> usize {
+        match self {
+            ControlMsg::RouterAdvertisement { .. } => 0,
+            ControlMsg::RouterSolicitation => 1,
+            ControlMsg::RtSolPr { .. } => 2,
+            ControlMsg::PrRtAdv { .. } => 3,
+            ControlMsg::HandoverInitiate { .. } => 4,
+            ControlMsg::HandoverAck { .. } => 5,
+            ControlMsg::FastBindingUpdate { .. } => 6,
+            ControlMsg::FastBindingAck { .. } => 7,
+            ControlMsg::FastNeighborAdvertisement { .. } => 8,
+            ControlMsg::BufferInit(_) => 9,
+            ControlMsg::BufferAck(_) => 10,
+            ControlMsg::BufferForward { .. } => 11,
+            ControlMsg::BufferFull { .. } => 12,
+            ControlMsg::BindingUpdate { .. } => 13,
+            ControlMsg::BindingAck { .. } => 14,
+        }
+    }
+
     /// Short name for statistics and traces.
     #[must_use]
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            ControlMsg::RouterAdvertisement { .. } => "RA",
-            ControlMsg::RouterSolicitation => "RS",
-            ControlMsg::RtSolPr { .. } => "RtSolPr",
-            ControlMsg::PrRtAdv { .. } => "PrRtAdv",
-            ControlMsg::HandoverInitiate { .. } => "HI",
-            ControlMsg::HandoverAck { .. } => "HAck",
-            ControlMsg::FastBindingUpdate { .. } => "FBU",
-            ControlMsg::FastBindingAck { .. } => "FBAck",
-            ControlMsg::FastNeighborAdvertisement { .. } => "FNA",
-            ControlMsg::BufferInit(_) => "BI",
-            ControlMsg::BufferAck(_) => "BA",
-            ControlMsg::BufferForward { .. } => "BF",
-            ControlMsg::BufferFull { .. } => "BufferFull",
-            ControlMsg::BindingUpdate { .. } => "BU",
-            ControlMsg::BindingAck { .. } => "BAck",
-        }
+        Self::KIND_NAMES[self.kind_index()]
     }
 
     /// `true` if this message carries a piggybacked buffer-management option
@@ -429,6 +455,7 @@ mod tests {
 
     #[test]
     fn every_message_has_positive_size_and_name() {
+        // One message per variant, in `kind_index` order.
         let msgs = vec![
             ControlMsg::RouterAdvertisement {
                 prefix: crate::addr::doc_subnet(1),
@@ -481,6 +508,11 @@ mod tests {
                 bf: true,
                 auth: None,
             },
+            ControlMsg::BufferInit(BufferInit::cancel()),
+            ControlMsg::BufferAck(BufferAck {
+                nar_granted: 1,
+                par_granted: 1,
+            }),
             ControlMsg::BufferForward { pcoa: a(1) },
             ControlMsg::BufferFull { pcoa: a(1) },
             ControlMsg::BindingUpdate {
@@ -495,10 +527,16 @@ mod tests {
                 status: AckStatus::Accepted,
             },
         ];
-        for m in msgs {
+        assert_eq!(msgs.len(), ControlMsg::KIND_NAMES.len());
+        for (i, m) in msgs.iter().enumerate() {
             assert!(m.wire_size() >= ICMP_BASE, "{} too small", m.kind_name());
+            assert_eq!(m.kind_index(), i);
             assert!(!m.kind_name().is_empty());
         }
+        let mut names = ControlMsg::KIND_NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), ControlMsg::KIND_NAMES.len(), "names unique");
     }
 
     #[test]

@@ -32,6 +32,9 @@ use crate::class::ServiceClass;
 use crate::msg::ControlMsg;
 
 /// Identifies one end-to-end traffic flow (a source/sink pair).
+///
+/// Ids are dense by construction: the scenario builders mint them from a
+/// counter, and they index the [`crate::NetStats`] per-flow ledger directly.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]

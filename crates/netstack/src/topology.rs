@@ -99,7 +99,7 @@ impl Topology {
     /// that do not run a simulator). Real scenarios should pass actor ids
     /// to [`Topology::register_node`] instead.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
-        let id = synthetic_actor_id(self.next_synthetic);
+        let id = ActorId::from_index(self.next_synthetic);
         self.register_node(id, name);
         id
     }
@@ -218,7 +218,7 @@ impl Topology {
             }
             for &lid in &self.nodes[node].links.clone() {
                 let link = &self.links[lid.0];
-                let Some(peer) = link.peer(synthetic_actor_id(node)) else {
+                let Some(peer) = link.peer(ActorId::from_index(node)) else {
                     continue;
                 };
                 let peer = peer.index();
@@ -276,34 +276,6 @@ impl Topology {
             None => RouteDecision::Unroutable,
         }
     }
-}
-
-/// Builds an `ActorId` from a raw index without a simulator.
-///
-/// `ActorId` has no public constructor by design; the topology needs one for
-/// synthetic test nodes, so it round-trips through a scratch simulator once.
-fn synthetic_actor_id(index: usize) -> ActorId {
-    struct Nop;
-    impl fh_sim::Actor<(), ()> for Nop {
-        fn handle(&mut self, _: &mut fh_sim::Ctx<'_, (), ()>, _: ()) {}
-    }
-    thread_local! {
-        static IDS: std::cell::RefCell<Vec<ActorId>> = const { std::cell::RefCell::new(Vec::new()) };
-    }
-    IDS.with(|ids| {
-        let mut ids = ids.borrow_mut();
-        while ids.len() <= index {
-            // A scratch simulator only mints ids; it is never run.
-            let mut sim: fh_sim::Simulator<(), ()> = fh_sim::Simulator::new((), 0);
-            for _ in 0..=index {
-                let id = sim.add_actor(Box::new(Nop));
-                if id.index() >= ids.len() {
-                    ids.push(id);
-                }
-            }
-        }
-        ids[index]
-    })
 }
 
 #[cfg(test)]
@@ -410,7 +382,7 @@ mod tests {
     fn link_to_unregistered_panics() {
         let mut t = Topology::new();
         let a = t.add_node("a");
-        let ghost = synthetic_actor_id(40);
+        let ghost = ActorId::from_index(40);
         t.add_link(a, ghost, spec_ms(1));
     }
 

@@ -14,7 +14,6 @@
 //!
 //! See the crate-level documentation for a two-node end-to-end example.
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use fh_sim::{Ctx, SimDuration, SimTime};
@@ -188,6 +187,13 @@ impl DropReason {
         DropReason::PressureShed,
     ];
 
+    /// Position in [`DropReason::ALL`]; indexes the [`NetStats`] drop
+    /// ledger.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable short label for tables and CSV columns. Exhaustive on
     /// purpose — adding a variant without a label is a compile error.
     #[must_use]
@@ -258,22 +264,19 @@ pub struct NetStats {
     /// handover attempt, with the protocol phases as timestamped marks.
     #[serde(skip)]
     pub spans: fh_telemetry::SpanStore,
-    drops: HashMap<DropReason, u64>,
-    per_flow_drops: HashMap<FlowId, u64>,
+    /// Drops by reason, indexed by [`DropReason::index`].
+    drops: [u64; DropReason::ALL.len()],
+    /// One conservation row per flow, indexed by `FlowId.0` (ids are
+    /// dense by construction); grows on first touch.
+    flows: Vec<FlowAudit>,
     /// Data packets delivered to their final destination.
     pub delivered: u64,
-    /// Control messages sent, by kind name.
-    control_sent: HashMap<String, u64>,
+    /// Control messages sent, indexed by [`ControlMsg::kind_index`].
+    control_sent: [u64; ControlMsg::KIND_NAMES.len()],
     /// Total control bytes sent (bodies + IPv6 headers).
     pub control_bytes: u64,
     /// Control messages that carried a piggybacked buffer option.
     pub piggybacked: u64,
-    /// Per-flow data packets entering the network (recorded at the source).
-    per_flow_sent: HashMap<FlowId, u64>,
-    /// Per-flow data packets reaching their application sink.
-    per_flow_delivered: HashMap<FlowId, u64>,
-    /// Per-flow extra copies created by fault-injected duplication.
-    per_flow_duplicated: HashMap<FlowId, u64>,
     /// Handover outcome tally, indexed by [`HandoverOutcome`].
     outcomes: [u64; 3],
     /// Named metrics mirrored from node-local components. Iteration is
@@ -288,7 +291,7 @@ pub struct NetStats {
 /// entered the network (plus every fault-injected duplicate) must either
 /// have reached its sink or be accounted to a [`DropReason`]:
 /// `sent + duplicated == delivered + dropped`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowAudit {
     /// Packets the source pushed into the network.
     pub sent: u64,
@@ -315,21 +318,28 @@ impl NetStats {
         NetStats::default()
     }
 
+    /// The ledger row of `flow`, grown on first touch.
+    #[inline]
+    fn flow_mut(&mut self, flow: FlowId) -> &mut FlowAudit {
+        let i = flow.0 as usize;
+        if i >= self.flows.len() {
+            self.flows.resize(i + 1, FlowAudit::default());
+        }
+        &mut self.flows[i]
+    }
+
     /// Records the loss of a data packet. Control-plane losses are counted
     /// under flow 0.
     pub fn record_drop(&mut self, now: SimTime, flow: FlowId, reason: DropReason) {
-        *self.drops.entry(reason).or_insert(0) += 1;
-        *self.per_flow_drops.entry(flow).or_insert(0) += 1;
+        self.drops[reason.index()] += 1;
+        self.flow_mut(flow).dropped += 1;
         self.trace
             .push(now, crate::trace::TraceEvent::Drop { flow, reason });
     }
 
     /// Records a sent control message.
     pub fn record_control(&mut self, now: SimTime, msg: &ControlMsg) {
-        *self
-            .control_sent
-            .entry(msg.kind_name().to_owned())
-            .or_insert(0) += 1;
+        self.control_sent[msg.kind_index()] += 1;
         self.control_bytes += u64::from(msg.wire_size()) + u64::from(Packet::IPV6_HEADER);
         if msg.has_piggyback() {
             self.piggybacked += 1;
@@ -347,18 +357,17 @@ impl NetStats {
     /// Total drops for one reason.
     #[must_use]
     pub fn drops(&self, reason: DropReason) -> u64 {
-        self.drops.get(&reason).copied().unwrap_or(0)
+        self.drops[reason.index()]
     }
 
     /// Total drops across all reasons.
     #[must_use]
     pub fn total_drops(&self) -> u64 {
-        self.drops.values().sum()
+        self.drops.iter().sum()
     }
 
     /// The full per-reason drop breakdown, in [`DropReason::ALL`] order.
-    /// Iterating the exhaustive constant (instead of the internal map)
-    /// guarantees every variant shows up in tables, zero or not.
+    /// Every variant shows up in tables, zero or not.
     #[must_use]
     pub fn drops_by_reason(&self) -> [(DropReason, u64); DropReason::ALL.len()] {
         DropReason::ALL.map(|r| (r, self.drops(r)))
@@ -367,66 +376,66 @@ impl NetStats {
     /// Drops attributed to one flow.
     #[must_use]
     pub fn flow_drops(&self, flow: FlowId) -> u64 {
-        self.per_flow_drops.get(&flow).copied().unwrap_or(0)
+        self.flow_audit(flow).dropped
     }
 
     /// Number of control messages of the given kind sent so far.
     #[must_use]
     pub fn control_count(&self, kind: &str) -> u64 {
-        self.control_sent.get(kind).copied().unwrap_or(0)
+        ControlMsg::KIND_NAMES
+            .iter()
+            .position(|&name| name == kind)
+            .map_or(0, |i| self.control_sent[i])
     }
 
     /// Total control messages sent.
     #[must_use]
     pub fn control_total(&self) -> u64 {
-        self.control_sent.values().sum()
+        self.control_sent.iter().sum()
     }
 
     /// Records a data packet entering the network on `flow`.
     pub fn record_sent(&mut self, flow: FlowId) {
-        *self.per_flow_sent.entry(flow).or_insert(0) += 1;
+        self.flow_mut(flow).sent += 1;
     }
 
     /// Records a data packet reaching its application sink on `flow`.
     pub fn record_delivered(&mut self, flow: FlowId) {
         self.delivered += 1;
-        *self.per_flow_delivered.entry(flow).or_insert(0) += 1;
+        self.flow_mut(flow).delivered += 1;
     }
 
     /// Records a fault-injected duplicate created on `flow`.
     pub fn record_duplicate(&mut self, flow: FlowId) {
-        *self.per_flow_duplicated.entry(flow).or_insert(0) += 1;
+        self.flow_mut(flow).duplicated += 1;
     }
 
     /// Packets recorded as sent on `flow`.
     #[must_use]
     pub fn flow_sent(&self, flow: FlowId) -> u64 {
-        self.per_flow_sent.get(&flow).copied().unwrap_or(0)
+        self.flow_audit(flow).sent
     }
 
     /// Packets recorded as delivered on `flow`.
     #[must_use]
     pub fn flow_delivered(&self, flow: FlowId) -> u64 {
-        self.per_flow_delivered.get(&flow).copied().unwrap_or(0)
+        self.flow_audit(flow).delivered
     }
 
     /// The packet-conservation snapshot for one flow.
     #[must_use]
     pub fn flow_audit(&self, flow: FlowId) -> FlowAudit {
-        FlowAudit {
-            sent: self.flow_sent(flow),
-            delivered: self.flow_delivered(flow),
-            duplicated: self.per_flow_duplicated.get(&flow).copied().unwrap_or(0),
-            dropped: self.flow_drops(flow),
-        }
+        self.flows.get(flow.0 as usize).copied().unwrap_or_default()
     }
 
     /// All flows with recorded sends, sorted (the audit set).
     #[must_use]
     pub fn audited_flows(&self) -> Vec<FlowId> {
-        let mut flows: Vec<FlowId> = self.per_flow_sent.keys().copied().collect();
-        flows.sort();
-        flows
+        (0u32..)
+            .zip(&self.flows)
+            .filter(|(_, audit)| audit.sent > 0)
+            .map(|(id, _)| FlowId(id))
+            .collect()
     }
 
     /// The flows whose conservation equation does not balance, with their
@@ -897,6 +906,7 @@ mod tests {
         // for that reason must balance the conservation equation, and the
         // exhaustive breakdown must attribute it to exactly that reason.
         for (i, reason) in DropReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason.index(), i, "{reason:?} out of place in ALL");
             let mut stats = NetStats::new();
             let flow = FlowId(u32::try_from(i).unwrap() + 1);
             stats.record_sent(flow);
@@ -911,6 +921,39 @@ mod tests {
         let labels: std::collections::HashSet<&str> =
             DropReason::ALL.iter().map(|r| r.label()).collect();
         assert_eq!(labels.len(), DropReason::ALL.len());
+    }
+
+    #[test]
+    fn sparse_flow_ids_audit_in_ascending_order() {
+        let mut stats = NetStats::new();
+        stats.record_sent(FlowId(7));
+        stats.record_delivered(FlowId(7));
+        stats.record_sent(FlowId(0));
+        stats.record_drop(SimTime::ZERO, FlowId(0), DropReason::Policy);
+        // A drop alone (control plane, or a flow that never sent) does not
+        // put a flow in the audit set.
+        stats.record_drop(SimTime::ZERO, FlowId(3), DropReason::Unroutable);
+        assert_eq!(stats.audited_flows(), vec![FlowId(0), FlowId(7)]);
+        assert_eq!(stats.flow_drops(FlowId(3)), 1);
+        for untouched in [FlowId(5), FlowId(8), FlowId(u32::MAX)] {
+            let audit = stats.flow_audit(untouched);
+            assert_eq!(audit, FlowAudit::default());
+            assert!(audit.conserved());
+        }
+        assert!(stats.conservation_violations().is_empty());
+        stats.record_duplicate(FlowId(7));
+        assert_eq!(
+            stats.conservation_violations(),
+            vec![(
+                FlowId(7),
+                FlowAudit {
+                    sent: 1,
+                    delivered: 1,
+                    duplicated: 1,
+                    dropped: 0
+                }
+            )]
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@
 mod actor;
 mod backoff;
 mod calendar;
+mod hash;
 mod lanes;
 mod queue;
 mod rng;
@@ -56,6 +57,7 @@ mod time;
 
 pub use actor::{Actor, ActorId, AsAny, Ctx, Simulator};
 pub use backoff::Backoff;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use lanes::LaneQueue;
 pub use queue::{EventKey, EventQueue, QueueKind};
 pub use rng::{derive_domain_seed, derive_seed, Rng64, DOMAIN_SALT};

@@ -153,9 +153,11 @@ pub struct UdpSink {
     /// `(sequence, end-to-end delay)` per received packet, in arrival
     /// order — the raw material of the Fig 4.7–4.10 delay plots.
     pub delays: Vec<(u64, SimDuration)>,
-    /// `(arrival time, bytes)` per received packet, for throughput plots.
-    pub bytes: Vec<(SimTime, u64)>,
-    seen: std::collections::HashSet<u64>,
+    /// When the latest distinct packet arrived.
+    pub last_arrival: Option<SimTime>,
+    /// Bit `seq` is set once `seq` has arrived; CBR sequence numbers are
+    /// dense from zero, so the bitmap stays at one bit per packet sent.
+    seen: Vec<u64>,
 }
 
 impl UdpSink {
@@ -174,15 +176,21 @@ impl UdpSink {
         if pkt.flow != self.flow {
             return;
         }
-        if !self.seen.insert(pkt.seq) {
+        let word = usize::try_from(pkt.seq / 64).expect("sequence number fits the bitmap");
+        let bit = 1u64 << (pkt.seq % 64);
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        if self.seen[word] & bit != 0 {
             self.duplicate += 1;
             return;
         }
+        self.seen[word] |= bit;
         self.received += 1;
         self.highest_seq = Some(self.highest_seq.map_or(pkt.seq, |h| h.max(pkt.seq)));
         self.delays
             .push((pkt.seq, now.saturating_since(pkt.created)));
-        self.bytes.push((now, u64::from(pkt.size)));
+        self.last_arrival = Some(now);
     }
 
     /// Distinct packets received.
@@ -337,5 +345,43 @@ mod tests {
         let p = src.next_packet(SimTime::ZERO);
         sink.on_packet(SimTime::ZERO, &p);
         let _ = sink.losses(0);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The `seen` bitmap against a reference `HashSet` on one arrival
+        /// stream with duplicates, reordering and a sparse jump far past
+        /// the dense range.
+        #[test]
+        fn bitmap_dedup_matches_a_reference_set(
+            stream in prop::collection::vec(
+                prop_oneof![0u64..300, 99_990u64..100_010],
+                1..400,
+            ),
+        ) {
+            let (s, d) = addrs();
+            let mut sink = UdpSink::new(FlowId(1));
+            let mut seen = std::collections::HashSet::new();
+            let mut delays = Vec::new();
+            let mut duplicates = 0;
+            let mut last_new = None;
+            for (i, &seq) in stream.iter().enumerate() {
+                let now = SimTime::from_millis(1_000 + i as u64);
+                let created = SimTime::from_millis(seq % 1_000);
+                let pkt = Packet::data(FlowId(1), seq, s, d, ServiceClass::RealTime, 160, created);
+                sink.on_packet(now, &pkt);
+                if seen.insert(seq) {
+                    delays.push((seq, now.saturating_since(created)));
+                    last_new = Some(now);
+                } else {
+                    duplicates += 1;
+                }
+            }
+            prop_assert_eq!(sink.received(), seen.len() as u64);
+            prop_assert_eq!(sink.duplicates(), duplicates);
+            prop_assert_eq!(&sink.delays, &delays);
+            prop_assert_eq!(sink.last_arrival, last_new);
+        }
     }
 }

@@ -13,9 +13,7 @@
 //! [`DropReason::RadioDetached`]: this is exactly the loss the buffer
 //! management scheme exists to prevent.
 
-use std::collections::HashMap;
-
-use fh_sim::{SimDuration, SimTime};
+use fh_sim::{FastMap, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use fh_net::{
@@ -94,11 +92,11 @@ pub struct RadioEnv {
     /// WLAN spec stays per-environment in `spec`, preserving every legacy
     /// custom-bandwidth scenario byte-for-byte).
     cellular_spec: WirelessSpec,
-    attachments: HashMap<NodeId, ApId>,
+    attachments: FastMap<NodeId, ApId>,
     /// Secondary-interface attachments of multi-homed hosts (the wide-area
     /// radio during make-before-break). Legacy single-interface hosts
     /// never appear here.
-    aux: HashMap<NodeId, ApId>,
+    aux: FastMap<NodeId, ApId>,
     busy_until: Vec<SimTime>,
     faults: Vec<Option<Box<FaultState>>>,
     /// Frames lost to detached receivers, per mobile host.
@@ -111,8 +109,8 @@ impl Default for RadioEnv {
             aps: Vec::new(),
             spec: WirelessSpec::default(),
             cellular_spec: RadioTechnology::Cellular.default_spec(),
-            attachments: HashMap::new(),
-            aux: HashMap::new(),
+            attachments: FastMap::default(),
+            aux: FastMap::default(),
             busy_until: Vec::new(),
             faults: Vec::new(),
             airtime_frames: 0,

@@ -1,0 +1,201 @@
+//! Exact allocation gates for the full-fidelity packet path.
+//!
+//! Wall-clock on the shared reference box wobbles by 10 %; heap allocation
+//! counts repeat to the digit. A stray `format!`, `to_owned` or per-packet
+//! collection on the hot path therefore fails here exactly, long before a
+//! timing run could resolve it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use fh_core::{ProtocolConfig, Scheme};
+use fh_mip::MobilityAnchor;
+use fh_net::{doc_subnet, FlowId, LinkId, LinkSpec, NetCtx, NetMsg, Packet, ServiceClass};
+use fh_scenarios::experiments::BufferUtilizationParams;
+use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan, World};
+use fh_sim::{derive_seed, Actor, ActorId, SimDuration, SimTime, Simulator};
+use fh_wireless::WirelessSpec;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor registers a dtor. Per
+    // thread, so tests running in parallel cannot disturb each other.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Forwards to [`System`], counting the calling thread's `alloc`,
+/// `alloc_zeroed` and `realloc` calls.
+struct Counting;
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting around the calls touches
+// one thread-local `Cell`, never allocates and never unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with `layout`, i.e. from
+        // `System` with the same layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr`/`layout` came from `System`; `new_size` obligations
+        // pass through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The Fig 4.2 point DUAL × 20 hosts (what `experiments::buffer_utilization`
+/// runs at the widest point of its grid): at most 300 heap allocations per
+/// 1 000 events. What remains is the `Payload::Encap` box per tunneled
+/// packet plus world build.
+#[test]
+fn fig42_dual_20_stays_within_its_allocation_budget() {
+    let params = BufferUtilizationParams::default();
+    let n = params.max_mhs;
+    let before = allocs();
+    let mut protocol = ProtocolConfig::with_scheme(Scheme::Dual { classify: false });
+    protocol.buffer_request = params.buffer_request;
+    let mut scenario = HmipScenario::build(HmipConfig {
+        protocol,
+        n_mhs: n,
+        buffer_capacity: params.buffer_capacity,
+        movement: MovementPlan::OneWay,
+        seed: derive_seed(params.seed, (n - 1) as u64),
+        ..HmipConfig::default()
+    });
+    for i in 0..n {
+        scenario.add_audio_64k(i, ServiceClass::Unspecified);
+    }
+    scenario.set_traffic_window(SimTime::from_millis(500), SimTime::from_millis(13_000));
+    scenario.run_until(SimTime::from_secs(16));
+    let allocations = allocs() - before;
+    let events = scenario.sim.events_processed();
+    assert!(
+        events > 50_000,
+        "the point must do real work: {events} events"
+    );
+    let per_kev = allocations * 1000 / events;
+    assert!(
+        per_kev <= 300,
+        "{allocations} allocations over {events} events = {per_kev} per 1000 events"
+    );
+}
+
+/// A MAP node that counts the allocations made inside `handle_local`.
+struct CountingMap {
+    anchor: MobilityAnchor,
+    inside: u64,
+}
+
+impl Actor<NetMsg, World> for CountingMap {
+    fn handle(&mut self, ctx: &mut NetCtx<'_, World>, msg: NetMsg) {
+        if let NetMsg::LinkPacket { pkt, .. } = msg {
+            let before = allocs();
+            let rest = self.anchor.handle_local(ctx, pkt);
+            self.inside += allocs() - before;
+            assert!(rest.is_none(), "every packet must be tunneled");
+        }
+    }
+}
+
+/// Swallows whatever reaches it.
+struct Sink;
+
+impl Actor<NetMsg, World> for Sink {
+    fn handle(&mut self, _: &mut NetCtx<'_, World>, _: NetMsg) {}
+}
+
+/// Intercept, encapsulate, count, route and transmit: exactly one
+/// allocation per tunneled packet, the `Payload::Encap` box.
+#[test]
+fn anchor_allocates_once_per_tunneled_packet() {
+    const PACKETS: u64 = 1000;
+    let mut sim = Simulator::new(World::new(WirelessSpec::default()), 1);
+    let map_prefix = doc_subnet(10);
+    let (map_addr, rcoa, lcoa) = (
+        map_prefix.host(1),
+        map_prefix.host(0x99),
+        doc_subnet(1).host(0x99),
+    );
+    let mut anchor = MobilityAnchor::map(ActorId::from_index(0), map_addr, map_prefix);
+    anchor
+        .cache
+        .update(rcoa, lcoa, SimDuration::from_secs(3600), SimTime::ZERO);
+    let map = sim.add_actor(Box::new(CountingMap { anchor, inside: 0 }));
+    sim.actor_mut::<CountingMap>(map)
+        .expect("map node")
+        .anchor
+        .node = map;
+    let ar = sim.add_actor(Box::new(Sink));
+    let topo = &mut sim.shared.topo;
+    topo.register_node(map, "map");
+    topo.register_node(ar, "ar");
+    topo.add_link(
+        map,
+        ar,
+        LinkSpec::new(100_000_000, SimDuration::from_millis(2), 50),
+    );
+    topo.add_prefix(map_prefix, map);
+    topo.add_prefix(doc_subnet(1), ar);
+    topo.compute_routes();
+
+    let send = |sim: &mut Simulator<NetMsg, World>, seq: u64| {
+        let at = SimTime::from_millis(10 * seq);
+        let pkt = Packet::data(
+            FlowId(1),
+            seq,
+            doc_subnet(0).host(1),
+            rcoa,
+            ServiceClass::RealTime,
+            160,
+            at,
+        );
+        sim.schedule(
+            at,
+            map,
+            NetMsg::LinkPacket {
+                link: LinkId(0),
+                pkt,
+            },
+        );
+    };
+    // The first packet registers the anchor's two counters by name.
+    send(&mut sim, 0);
+    sim.run();
+    let node = sim.actor_mut::<CountingMap>(map).expect("map node");
+    assert!(node.inside > 1, "registration allocates the counter names");
+    node.inside = 0;
+
+    for seq in 1..=PACKETS {
+        send(&mut sim, seq);
+    }
+    sim.run();
+    let node = sim.actor::<CountingMap>(map).expect("map node");
+    assert_eq!(node.anchor.tunneled, PACKETS + 1);
+    assert_eq!(node.inside, PACKETS, "one Encap box per tunneled packet");
+    assert_eq!(sim.shared.stats.counter("map.tunneled"), PACKETS + 1);
+}

@@ -97,7 +97,7 @@ fn nar_crash_and_restart_recovers_service() {
     assert!(s.flow_losses(f) > 0, "the outage must cost packets");
     // …and resumed after the restart: the sink keeps receiving well past
     // the outage window (crash 2 s, restart 3 s, re-registration ≤ ~4 s).
-    let last_arrival = s.flow_sink(f).bytes.last().map(|&(t, _)| t);
+    let last_arrival = s.flow_sink(f).last_arrival;
     assert!(
         last_arrival > Some(SimTime::from_secs(6)),
         "delivery must resume after the restart: last={last_arrival:?}"
