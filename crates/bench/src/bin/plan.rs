@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! # Run one plan file and print its artifact (CSV or Chrome-trace JSON).
-//! cargo run -p fh-bench --release --bin plan -- plans/storm.toml --threads 4
+//! cargo run -p fh-bench --release --bin plan -- crates/scenarios/plans/storm.toml --threads 4
 //!
 //! # Run the whole compiled-in corpus; one status line per plan.
 //! cargo run -p fh-bench --release --bin plan -- --corpus --threads 4

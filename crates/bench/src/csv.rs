@@ -123,86 +123,89 @@ pub fn fig4_14_csv() -> String {
     table.finish()
 }
 
-/// Chaos sweep as CSV: one row per injected loss probability.
+/// A corpus plan's artifact at its own seed, every expectation armed —
+/// the artifact lock included, so these are the bytes under
+/// `tests/golden/` or the call panics with the failure report.
+fn corpus_artifact(file: &str, threads: usize) -> String {
+    plan::run_plan(&plan::corpus_plan(file), threads)
+        .expect_clean()
+        .artifact
+}
+
+/// Chaos sweep as CSV (`plans/chaos.toml`): one row per injected loss
+/// probability.
 #[must_use]
 pub fn chaos_csv(threads: usize) -> String {
-    chaos_csv_with_seed(params::SEED, threads)
+    corpus_artifact("plans/chaos.toml", threads)
 }
 
-/// Chaos sweep as CSV for an explicit seed — the CI chaos-determinism
-/// job compares these bytes across thread counts, per seed. Rendering is
-/// the plan engine's: this *is* [`plan::reference_chaos`] run under
-/// `seed`.
-#[must_use]
-pub fn chaos_csv_with_seed(seed: u64, threads: usize) -> String {
-    plan::run_plan(&plan::reference_chaos().with_seed(seed), threads)
-        .expect_clean()
-        .artifact
-}
-
-/// Storm sweep as CSV: one row per storm size, both schemes side by side.
+/// Storm sweep as CSV (`plans/storm.toml`): one row per storm size and
+/// scheme. Every row's run passed the packet-conservation and
+/// resource-leak audits, so these bytes double as the audit's green light.
 #[must_use]
 pub fn storm_csv(threads: usize) -> String {
-    storm_csv_with_seed(params::SEED, threads)
+    corpus_artifact("plans/storm.toml", threads)
 }
 
-/// Storm sweep as CSV for an explicit seed — the CI storm-leak-audit job
-/// compares these bytes across thread counts, per seed. Every row's run
-/// passed the packet-conservation and resource-leak audits (they panic
-/// otherwise), so these bytes double as the audit's green light.
+/// The storm timeline as Chrome-trace JSON (`plans/timeline.toml`).
 #[must_use]
-pub fn storm_csv_with_seed(seed: u64, threads: usize) -> String {
-    plan::run_plan(&plan::reference_storm().with_seed(seed), threads)
-        .expect_clean()
-        .artifact
+pub fn timeline_json(threads: usize) -> String {
+    corpus_artifact("plans/timeline.toml", threads)
 }
 
-/// The storm timeline as Chrome-trace JSON for an explicit seed — the CI
-/// trace-determinism job compares these bytes across thread counts.
-#[must_use]
-pub fn timeline_json_with_seed(seed: u64, threads: usize) -> String {
-    plan::run_plan(&plan::reference_timeline().with_seed(seed), threads)
-        .expect_clean()
-        .artifact
-}
+/// A CSV writer: thread count in, rendered series out.
+pub type CsvFn = fn(usize) -> String;
 
-/// Resolves a CSV writer by figure id, fanning sweep points across
-/// `threads` workers (the CSV bytes are identical at any value).
-#[must_use]
-pub fn csv_for(figure: &str, threads: usize) -> Option<String> {
-    match figure {
-        "fig4.2" => Some(fig4_2_csv(threads)),
-        "fig4.3" => Some(qos_csv(Scheme::NarOnly, params::FH_CAPACITY)),
-        "fig4.4" => Some(qos_csv(
-            Scheme::Dual { classify: false },
-            params::PROPOSED_CAPACITY,
-        )),
-        "fig4.5" => Some(qos_csv(
-            Scheme::Dual { classify: true },
-            params::PROPOSED_CAPACITY,
-        )),
-        "fig4.6" => Some(fig4_6_csv(threads)),
-        "fig4.7" => Some(delay_csv(Scheme::NarOnly, params::FH_CAPACITY, 2)),
-        "fig4.8" => Some(delay_csv(
+/// Every series `repro --csv` can print, by figure id. Sweep-shaped
+/// writers fan their points across the given thread count (the bytes are
+/// identical at any value); single-run writers ignore it.
+pub const CSV_WRITERS: [(&str, CsvFn); 12] = [
+    ("fig4.2", fig4_2_csv),
+    ("fig4.3", |_| qos_csv(Scheme::NarOnly, params::FH_CAPACITY)),
+    ("fig4.4", |_| {
+        qos_csv(Scheme::Dual { classify: false }, params::PROPOSED_CAPACITY)
+    }),
+    ("fig4.5", |_| {
+        qos_csv(Scheme::Dual { classify: true }, params::PROPOSED_CAPACITY)
+    }),
+    ("fig4.6", fig4_6_csv),
+    ("fig4.7", |_| {
+        delay_csv(Scheme::NarOnly, params::FH_CAPACITY, 2)
+    }),
+    ("fig4.8", |_| {
+        delay_csv(
             Scheme::Dual { classify: false },
             params::PROPOSED_CAPACITY,
             2,
-        )),
-        "fig4.9" => Some(delay_csv(
+        )
+    }),
+    ("fig4.9", |_| {
+        delay_csv(
             Scheme::Dual { classify: true },
             params::PROPOSED_CAPACITY,
             2,
-        )),
-        "fig4.10" => Some(delay_csv(
+        )
+    }),
+    ("fig4.10", |_| {
+        delay_csv(
             Scheme::Dual { classify: true },
             params::PROPOSED_CAPACITY,
             50,
-        )),
-        "fig4.14" => Some(fig4_14_csv()),
-        "chaos" => Some(chaos_csv(threads)),
-        "storm" => Some(storm_csv(threads)),
-        _ => None,
-    }
+        )
+    }),
+    ("fig4.14", |_| fig4_14_csv()),
+    ("chaos", chaos_csv),
+    ("storm", storm_csv),
+];
+
+/// Renders the series of one [`CSV_WRITERS`] entry, `None` for any other
+/// name.
+#[must_use]
+pub fn csv_for(figure: &str, threads: usize) -> Option<String> {
+    CSV_WRITERS
+        .iter()
+        .find(|(name, _)| *name == figure)
+        .map(|(_, write)| write(threads))
 }
 
 #[cfg(test)]

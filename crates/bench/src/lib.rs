@@ -3,20 +3,18 @@
 //! Each `fig*` function runs the corresponding experiment from
 //! [`fh_scenarios::experiments`] with the thesis' parameters and renders
 //! the series as a plain-text table (the same rows the paper's figures
-//! plot). The `repro` binary prints them; the Criterion benches in
-//! `benches/` time them.
+//! plot). The `repro` binary prints them ([`FIGURES`], [`render`]); the
+//! `fh-perf` harness under `benchmark/` times them.
 //!
 //! Every figure function takes a thread count, forwarded to the
 //! deterministic sweep engine ([`fh_scenarios::sweep`]): the rendered
 //! table is bit-identical at any value. Single-run figures ignore it.
 //! Alongside the text, a [`FigureRun`] reports how many simulator events
-//! the figure processed, which the `repro` binary turns into the
-//! events/second column of `BENCH_sweeps.json`.
+//! the figure processed, which the harness turns into events/second.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod csv;
 pub mod planio;
 
@@ -34,6 +32,45 @@ pub struct FigureRun {
     pub text: String,
     /// Total simulator events processed while regenerating the figure.
     pub events: u64,
+}
+
+/// A figure function: thread count in, rendered table out.
+pub type FigureFn = fn(usize) -> FigureRun;
+
+/// Every figure `repro` regenerates, in print order, by its filter name.
+pub const FIGURES: [(&str, FigureFn); 18] = [
+    ("fig4.2", fig4_2),
+    ("fig4.3", fig4_3),
+    ("fig4.4", fig4_4),
+    ("fig4.5", fig4_5),
+    ("fig4.6", fig4_6),
+    ("fig4.7", fig4_7),
+    ("fig4.8", fig4_8),
+    ("fig4.9", fig4_9),
+    ("fig4.10", fig4_10),
+    ("fig4.12", fig4_12),
+    ("fig4.13", fig4_13),
+    ("fig4.14", fig4_14),
+    ("threshold", ablation_threshold),
+    ("pacing", ablation_pacing),
+    ("background", ablation_background),
+    ("blackout", ablation_blackout),
+    ("signaling", ablation_signaling),
+    ("chaos", chaos),
+];
+
+/// Runs `figures` and renders `repro`'s stdout. Independent figures run
+/// concurrently on the same pool size as their internal point fan-out and
+/// are rendered in the order given, so the text is byte-identical at any
+/// `threads` value.
+#[must_use]
+pub fn render(figures: &[(&'static str, FigureFn)], threads: usize) -> String {
+    let texts = parallel_map(threads, figures, |_, &(_, f)| f(threads).text);
+    let mut out = String::new();
+    for ((name, _), text) in figures.iter().zip(&texts) {
+        let _ = writeln!(out, "==== {name} ====\n{text}");
+    }
+    out
 }
 
 /// Parameters shared by the QoS / delay experiments (§4.2.2–4.2.3).

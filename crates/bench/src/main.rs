@@ -9,158 +9,176 @@
 //! ```
 //!
 //! `--trace` additionally writes `TRACE_timeline.json`, the storm runs'
-//! Chrome-trace timeline (the same bytes the `timeline` bin prints) —
+//! Chrome-trace timeline (the bytes `plan plans/timeline.toml` prints) —
 //! byte-identical at any `--threads` value, like everything else here.
 //!
 //! `--threads N` sizes the deterministic sweep worker pool (0 = one per
 //! core, default 1). Figures fan out across the pool and each sweep
 //! figure additionally fans its grid points, so stdout is **byte-identical
 //! at any thread count** — results are printed in figure order after all
-//! runs complete. A full (unfiltered) table run also writes
-//! `BENCH_sweeps.json`: per-figure wall time, simulator events, and
-//! events/second, plus the thread count, for machine consumption.
+//! runs complete. Timing is not this binary's job: `benchmark/run.sh`
+//! (`fh-perf`) measures the same figures.
+//!
+//! A figure filter selects by substring; a filter (or `--csv` name) that
+//! matches nothing is an error that lists the valid names.
 
 use std::env;
-use std::fmt::Write as _;
+use std::io::{self, ErrorKind, Write as _};
 use std::process::ExitCode;
-use std::time::Instant;
 
-use fh_scenarios::sweep::{parallel_map, resolve_threads};
+use fh_bench::csv::{timeline_json, CsvFn, CSV_WRITERS};
+use fh_bench::{FigureFn, FIGURES};
+use fh_scenarios::sweep::resolve_threads;
 
-type FigureFn = fn(usize) -> fh_bench::FigureRun;
-
-/// Per-figure measurement destined for `BENCH_sweeps.json`.
-struct Timing {
-    name: &'static str,
-    wall_s: f64,
-    events: u64,
-}
-
-fn render_json(threads: usize, total_wall_s: f64, timings: &[Timing]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(out, "  \"total_wall_s\": {total_wall_s:.3},");
-    let total_events: u64 = timings.iter().map(|t| t.events).sum();
-    let _ = writeln!(out, "  \"total_events\": {total_events},");
-    let _ = writeln!(
-        out,
-        "  \"total_events_per_sec\": {:.0},",
-        total_events as f64 / total_wall_s.max(1e-9)
-    );
-    let _ = writeln!(out, "  \"figures\": [");
-    for (i, t) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}}}{comma}",
-            t.name,
-            t.wall_s,
-            t.events,
-            t.events as f64 / t.wall_s.max(1e-9)
-        );
+/// The figures whose name contains any of `filters`, in print order; no
+/// filter selects every figure.
+///
+/// # Errors
+///
+/// The message for stderr when some filter matches no figure.
+fn select(filters: &[String]) -> Result<Vec<(&'static str, FigureFn)>, String> {
+    let hit = |name: &str, filter: &String| name.contains(filter.as_str());
+    if let Some(bad) = filters
+        .iter()
+        .find(|f| !FIGURES.iter().any(|(name, _)| hit(name, f)))
+    {
+        let names: Vec<&str> = FIGURES.iter().map(|&(name, _)| name).collect();
+        return Err(format!(
+            "no figure matches `{bad}`; valid names: {}",
+            names.join(" ")
+        ));
     }
-    out.push_str("  ]\n}\n");
-    out
+    Ok(FIGURES
+        .iter()
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| hit(name, f)))
+        .copied()
+        .collect())
 }
 
-fn main() -> ExitCode {
-    let mut filters: Vec<String> = env::args().skip(1).collect();
+/// The writer of every `--csv` name, in the order given.
+///
+/// # Errors
+///
+/// The message for stderr when a name has no writer or none was given.
+fn csv_writers(names: &[String]) -> Result<Vec<CsvFn>, String> {
+    let valid = || {
+        let names: Vec<&str> = CSV_WRITERS.iter().map(|&(name, _)| name).collect();
+        format!("valid names: {}", names.join(" "))
+    };
+    if names.is_empty() {
+        return Err(format!("--csv needs a figure; {}", valid()));
+    }
+    names
+        .iter()
+        .map(|wanted| {
+            CSV_WRITERS
+                .iter()
+                .find(|(name, _)| name == wanted)
+                .map(|&(_, write)| write)
+                .ok_or_else(|| format!("no CSV writer for `{wanted}`; {}", valid()))
+        })
+        .collect()
+}
+
+/// Writes `text` to stdout through one locked handle. A reader that went
+/// away (`repro | head`) is a clean stop, not an error.
+fn emit(text: &str) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
+fn run() -> Result<(), String> {
+    let mut args: Vec<String> = env::args().skip(1).collect();
 
     let mut threads = 1usize;
-    if let Some(pos) = filters.iter().position(|a| a == "--threads") {
-        filters.remove(pos);
-        let Some(n) = filters.get(pos).and_then(|v| v.parse().ok()) else {
-            eprintln!("--threads needs a number (0 = one per core)");
-            return ExitCode::FAILURE;
+    if let Some(pos) = args.iter().position(|a| a == "--threads") {
+        args.remove(pos);
+        let Some(n) = args.get(pos).and_then(|v| v.parse().ok()) else {
+            return Err("--threads needs a number (0 = one per core)".to_owned());
         };
         threads = n;
-        filters.remove(pos);
+        args.remove(pos);
     }
     let threads = resolve_threads(threads);
 
     let mut trace = false;
-    if let Some(pos) = filters.iter().position(|a| a == "--trace") {
-        filters.remove(pos);
+    if let Some(pos) = args.iter().position(|a| a == "--trace") {
+        args.remove(pos);
         trace = true;
     }
 
-    if filters.first().map(String::as_str) == Some("--csv") {
-        filters.remove(0);
-        for figure in &filters {
-            match fh_bench::csv::csv_for(figure, threads) {
-                Some(csv) => print!("{csv}"),
-                None => eprintln!("no CSV writer for {figure}"),
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
+    let text = if args.first().map(String::as_str) == Some("--csv") {
+        let writers = csv_writers(&args[1..])?;
+        writers.iter().map(|write| write(threads)).collect()
+    } else {
+        fh_bench::render(&select(&args)?, threads)
+    };
+    emit(&text).map_err(|e| format!("stdout: {e}"))?;
 
-    let figures: Vec<(&'static str, FigureFn)> = vec![
-        ("fig4.2", fh_bench::fig4_2),
-        ("fig4.3", fh_bench::fig4_3),
-        ("fig4.4", fh_bench::fig4_4),
-        ("fig4.5", fh_bench::fig4_5),
-        ("fig4.6", fh_bench::fig4_6),
-        ("fig4.7", fh_bench::fig4_7),
-        ("fig4.8", fh_bench::fig4_8),
-        ("fig4.9", fh_bench::fig4_9),
-        ("fig4.10", fh_bench::fig4_10),
-        ("fig4.12", fh_bench::fig4_12),
-        ("fig4.13", fh_bench::fig4_13),
-        ("fig4.14", fh_bench::fig4_14),
-        ("threshold", fh_bench::ablation_threshold),
-        ("pacing", fh_bench::ablation_pacing),
-        ("background", fh_bench::ablation_background),
-        ("blackout", fh_bench::ablation_blackout),
-        ("signaling", fh_bench::ablation_signaling),
-        ("chaos", fh_bench::chaos),
-    ];
-    let all = filters.is_empty();
-    let selected: Vec<(&'static str, FigureFn)> = figures
-        .into_iter()
-        .filter(|(name, _)| all || filters.iter().any(|x| name.contains(x.as_str())))
-        .collect();
-
-    // Figure-level fan-out: independent figures run concurrently on the
-    // same pool size as their internal point fan-out. Output is collected
-    // and printed in figure order, so stdout does not depend on `threads`.
-    let t0 = Instant::now();
-    let runs = parallel_map(threads, &selected, |_, &(name, f)| {
-        let start = Instant::now();
-        let run = f(threads);
-        let timing = Timing {
-            name,
-            wall_s: start.elapsed().as_secs_f64(),
-            events: run.events,
-        };
-        (timing, run.text)
-    });
-    let total_wall_s = t0.elapsed().as_secs_f64();
-
-    for (timing, text) in &runs {
-        println!("==== {} ====", timing.name);
-        println!("{text}");
-    }
-
-    if all {
-        let timings: Vec<Timing> = runs.into_iter().map(|(t, _)| t).collect();
-        let json = render_json(threads, total_wall_s, &timings);
-        match std::fs::write("BENCH_sweeps.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_sweeps.json ({threads} threads, {total_wall_s:.1}s)"),
-            Err(e) => eprintln!("could not write BENCH_sweeps.json: {e}"),
-        }
-    }
-
-    // `--trace`: additionally export the storm runs as a Chrome-trace
-    // timeline (the `timeline` bin's bytes, written to a file). Stdout is
-    // untouched, so the figure tables stay byte-identical with and
-    // without the flag.
+    // Stdout is untouched by `--trace`, so the figure tables stay
+    // byte-identical with and without the flag.
     if trace {
-        let json = fh_bench::csv::timeline_json_with_seed(fh_bench::params::SEED, threads);
-        match std::fs::write("TRACE_timeline.json", &json) {
-            Ok(()) => eprintln!("wrote TRACE_timeline.json ({threads} threads)"),
-            Err(e) => eprintln!("could not write TRACE_timeline.json: {e}"),
+        std::fs::write("TRACE_timeline.json", timeline_json(threads))
+            .map_err(|e| format!("could not write TRACE_timeline.json: {e}"))?;
+        eprintln!("wrote TRACE_timeline.json ({threads} threads)");
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(filters: &[&str]) -> Result<Vec<&'static str>, String> {
+        let filters: Vec<String> = filters.iter().map(|s| (*s).to_owned()).collect();
+        select(&filters).map(|figs| figs.into_iter().map(|(name, _)| name).collect())
+    }
+
+    #[test]
+    fn no_filter_selects_all_eighteen_in_print_order() {
+        let all = names(&[]).expect("no filter is valid");
+        assert_eq!(all.len(), 18);
+        assert_eq!((all[0], all[17]), ("fig4.2", "chaos"));
+    }
+
+    #[test]
+    fn filters_match_by_substring_and_keep_print_order() {
+        assert_eq!(
+            names(&["fig4.1"]).unwrap(),
+            ["fig4.10", "fig4.12", "fig4.13", "fig4.14"]
+        );
+        assert_eq!(names(&["chaos", "fig4.2"]).unwrap(), ["fig4.2", "chaos"]);
+    }
+
+    #[test]
+    fn a_filter_matching_nothing_is_an_error_listing_the_names() {
+        let err = names(&["fig4.2", "fig9.9"]).unwrap_err();
+        assert!(err.starts_with("no figure matches `fig9.9`"), "{err}");
+        assert!(err.contains("fig4.14") && err.ends_with("chaos"), "{err}");
+    }
+
+    #[test]
+    fn csv_names_are_exact_and_required() {
+        let check = |names: &[&str]| {
+            csv_writers(&names.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>())
+        };
+        assert_eq!(check(&["fig4.2", "storm"]).map(|w| w.len()), Ok(2));
+        let err = check(&["fig4.1"]).unwrap_err();
+        assert!(err.starts_with("no CSV writer for `fig4.1`"), "{err}");
+        assert!(err.ends_with("chaos storm"), "{err}");
+        assert!(check(&[]).unwrap_err().starts_with("--csv needs a figure"));
+    }
 }

@@ -1,76 +1,19 @@
-//! Plan-driver plumbing shared by the `plan` bin and the corpus bins.
+//! Plan-driver plumbing behind the `plan` bin.
 //!
-//! The scenario-plan corpus lives in `crates/bench/plans/` and is
-//! compiled into the binaries with `include_str!`, so the drivers need no
-//! filesystem access to run it and CI exercises exactly the bytes under
-//! version control. Three corpus plans (`chaos`, `storm`, `timeline`)
-//! *are* the legacy determinism bins — a unit test pins each of them to
-//! its reference constructor in `fh_scenarios::plan`, and their artifact
-//! hash locks are pinned to the golden bytes in `tests/golden/`.
+//! The scenario-plan corpus lives in `crates/scenarios/plans/` next to
+//! the engine that owns its schema and is compiled in
+//! ([`fh_scenarios::plan::CORPUS`], re-exported here), so the driver
+//! needs no filesystem access to run it and CI exercises exactly the
+//! bytes under version control.
 //!
 //! Everything here prints thread-invariant bytes: CI `cmp`s the corpus
-//! and fuzz outputs across `--threads` values the same way it compares
-//! the figure CSVs.
+//! and fuzz outputs across `--threads` values.
 
 use std::fmt::Write as _;
 
+pub use fh_scenarios::plan::CORPUS;
 use fh_scenarios::plan::{fuzz_plan, run_plan, PlanOutcome, ScenarioPlan};
 use fh_telemetry::report::fnv1a64_hex;
-
-/// The compiled-in plan corpus: `(display path, TOML source)`.
-pub const CORPUS: [(&str, &str); 15] = [
-    ("plans/chaos.toml", include_str!("../plans/chaos.toml")),
-    ("plans/storm.toml", include_str!("../plans/storm.toml")),
-    (
-        "plans/timeline.toml",
-        include_str!("../plans/timeline.toml"),
-    ),
-    (
-        "plans/chaos_burst.toml",
-        include_str!("../plans/chaos_burst.toml"),
-    ),
-    (
-        "plans/storm_crossing.toml",
-        include_str!("../plans/storm_crossing.toml"),
-    ),
-    (
-        "plans/blackout_long.toml",
-        include_str!("../plans/blackout_long.toml"),
-    ),
-    (
-        "plans/parked_control.toml",
-        include_str!("../plans/parked_control.toml"),
-    ),
-    (
-        "plans/node_crash.toml",
-        include_str!("../plans/node_crash.toml"),
-    ),
-    (
-        "plans/power_off.toml",
-        include_str!("../plans/power_off.toml"),
-    ),
-    (
-        "plans/scheme_ladder.toml",
-        include_str!("../plans/scheme_ladder.toml"),
-    ),
-    (
-        "plans/duplication.toml",
-        include_str!("../plans/duplication.toml"),
-    ),
-    (
-        "plans/softstate_pingpong.toml",
-        include_str!("../plans/softstate_pingpong.toml"),
-    ),
-    (
-        "plans/flashcrowd.toml",
-        include_str!("../plans/flashcrowd.toml"),
-    ),
-    ("plans/metro.toml", include_str!("../plans/metro.toml")),
-    (
-        "plans/vertical.toml",
-        include_str!("../plans/vertical.toml"),
-    ),
-];
 
 /// Loads one plan from TOML, rebases it onto `seed`, runs it, and judges
 /// its expectations.
@@ -194,15 +137,6 @@ pub fn run_fuzz(count: u64, seed: u64, threads: usize) -> Result<String, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fh_scenarios::plan::{reference_chaos, reference_storm, reference_timeline};
-
-    fn corpus_plan(file: &str) -> ScenarioPlan {
-        let (_, toml) = CORPUS
-            .iter()
-            .find(|(f, _)| *f == file)
-            .unwrap_or_else(|| panic!("{file} not in CORPUS"));
-        ScenarioPlan::from_toml(toml, file).expect("corpus plan parses")
-    }
 
     #[test]
     fn whole_corpus_parses() {
@@ -210,26 +144,6 @@ mod tests {
             let plan = ScenarioPlan::from_toml(toml, file)
                 .unwrap_or_else(|e| panic!("{file} failed to parse: {e}"));
             assert!(!plan.name.is_empty(), "{file}");
-        }
-    }
-
-    /// The three determinism bins are corpus plans now; each TOML must
-    /// decode to exactly its reference constructor (modulo the artifact
-    /// lock, which only the TOML carries) or the golden bytes drift.
-    #[test]
-    fn legacy_corpus_plans_match_their_reference_constructors() {
-        for (file, reference) in [
-            ("plans/chaos.toml", reference_chaos()),
-            ("plans/storm.toml", reference_storm()),
-            ("plans/timeline.toml", reference_timeline()),
-        ] {
-            let mut plan = corpus_plan(file);
-            assert!(
-                plan.expectations.artifact_fnv1a.is_some(),
-                "{file} must lock its artifact bytes"
-            );
-            plan.expectations.artifact_fnv1a = None;
-            assert_eq!(plan, reference, "{file} drifted from its reference");
         }
     }
 

@@ -4,17 +4,8 @@
 //! [`Scheme::ALL`] variant, so a new scheme cannot ship without corpus
 //! coverage on both topologies.
 
-use fh_bench::planio::CORPUS;
 use fh_core::Scheme;
-use fh_scenarios::plan::ScenarioPlan;
-
-fn corpus_plan(path: &str) -> ScenarioPlan {
-    let (file, toml) = CORPUS
-        .iter()
-        .find(|(f, _)| *f == path)
-        .unwrap_or_else(|| panic!("{path} missing from CORPUS"));
-    ScenarioPlan::from_toml(toml, file).expect("corpus plan parses")
-}
+use fh_scenarios::plan::corpus_plan;
 
 #[test]
 fn all_scheme_plans_cover_every_scheme() {

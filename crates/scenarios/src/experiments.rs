@@ -2,8 +2,8 @@
 //!
 //! Every runner builds a scenario, runs it, and returns a serializable
 //! result struct with exactly the series the corresponding figure plots.
-//! The `fh-bench` crate wraps these in Criterion benchmarks and in the
-//! `repro` binary that regenerates EXPERIMENTS.md.
+//! The `fh-bench` crate wraps these in the `repro` binary that
+//! regenerates EXPERIMENTS.md.
 //!
 //! Sweep-shaped runners (grids of independent simulation points) take a
 //! `threads` argument and fan their points across the
@@ -14,15 +14,16 @@
 //! the with/without pair of the black-out ablation) faces the *same*
 //! workload at the same x — the curves stay comparable, as in the paper.
 //! Every result struct also reports the total simulator `events`
-//! processed, which `fh-bench` turns into events/second.
+//! processed, which the `fh-perf` harness turns into events/second.
 
 use serde::{Deserialize, Serialize};
 
 use fh_core::{ProtocolConfig, Scheme};
 use fh_net::{FlowId, ServiceClass};
-use fh_sim::{derive_seed, QueueKind, SimDuration, SimTime};
+use fh_sim::{derive_seed, SimDuration, SimTime};
 
 use crate::hmip::{HmipConfig, HmipScenario, MovementPlan};
+use crate::plan::{corpus_plan, run_plan, Axis, PlanOutcome, PointRun};
 use crate::sweep::parallel_map;
 use crate::wlan::{WlanConfig, WlanScenario};
 
@@ -88,20 +89,6 @@ pub fn buffer_utilization(
     params: BufferUtilizationParams,
     threads: usize,
 ) -> BufferUtilizationResult {
-    buffer_utilization_with_queue(params, threads, QueueKind::Heap)
-}
-
-/// [`buffer_utilization`] with an explicit event-queue backend.
-///
-/// The backends are bit-identical in pop order, so the returned series
-/// must not depend on `queue` — the `hotpath` gauge runs both and
-/// asserts exactly that while timing them.
-#[must_use]
-pub fn buffer_utilization_with_queue(
-    params: BufferUtilizationParams,
-    threads: usize,
-    queue: QueueKind,
-) -> BufferUtilizationResult {
     // Fig 4.2 plots exactly the thesis' class-blind schemes, pinned
     // explicitly: deriving the series from `Scheme::ALL` would silently
     // grow the golden figure whenever a non-thesis scheme (e.g. SAFETY)
@@ -127,7 +114,6 @@ pub fn buffer_utilization_with_queue(
             buffer_capacity: params.buffer_capacity,
             movement: MovementPlan::OneWay,
             seed: derive_seed(params.seed, (n - 1) as u64),
-            queue,
             ..HmipConfig::default()
         };
         let mut scenario = HmipScenario::build(cfg);
@@ -784,6 +770,18 @@ pub struct ChaosSweepResult {
 /// The x-axis of the chaos figure: loss up to the 20 % acceptance bound.
 pub const CHAOS_LOSS_PROBS: [f64; 6] = [0.0, 0.025, 0.05, 0.10, 0.15, 0.20];
 
+/// Runs the corpus plan `file` under a caller-chosen `axis` and `seed`.
+/// The plan's artifact lock pins the bytes of its own axis and seed, so
+/// it cannot apply here and is cleared; every other expectation stays
+/// armed and a violation panics.
+fn run_corpus_sweep(file: &str, axis: Axis, seed: u64, threads: usize) -> PlanOutcome {
+    let mut plan = corpus_plan(file);
+    plan.seed = seed;
+    plan.axis = axis;
+    plan.expectations.artifact_fnv1a = None;
+    run_plan(&plan, threads).expect_clean()
+}
+
 /// Chaos sweep: seeded fault injection on every control-plane path (the
 /// PAR↔NAR wire plus both air interfaces) with hardened signaling
 /// retransmission, a ping-pong host and three classified 128 kb/s flows.
@@ -792,14 +790,13 @@ pub const CHAOS_LOSS_PROBS: [f64; 6] = [0.0, 0.025, 0.05, 0.10, 0.15, 0.20];
 /// packet-conservation audit — a wedged scenario panics here rather than
 /// producing a quietly wrong figure.
 ///
-/// A thin adapter over [`crate::plan::reference_chaos`]: the sweep *is*
-/// that plan with `loss_probs` as its axis, run through
+/// A thin adapter over the corpus plan `plans/chaos.toml`: the sweep
+/// *is* that plan with `loss_probs` as its axis, run through
 /// [`crate::plan::run_plan`].
 #[must_use]
 pub fn chaos_sweep(loss_probs: &[f64], seed: u64, threads: usize) -> ChaosSweepResult {
-    let mut plan = crate::plan::reference_chaos().with_seed(seed);
-    plan.axis = crate::plan::Axis::Loss(loss_probs.to_vec());
-    let outcome = crate::plan::run_plan(&plan, threads).expect_clean();
+    let axis = Axis::Loss(loss_probs.to_vec());
+    let outcome = run_corpus_sweep("plans/chaos.toml", axis, seed, threads);
     let points = outcome
         .points
         .iter()
@@ -880,15 +877,14 @@ pub const STORM_SIZES: [usize; 6] = [4, 8, 12, 16, 20, 24];
 /// packet-conservation audit and the resource-leak audit; both schemes at
 /// the same storm size share a seed so they face an identical workload.
 ///
-/// A thin adapter over [`crate::plan::reference_storm`]: the sweep *is*
-/// that plan with `sizes` as its axis, run through
+/// A thin adapter over the corpus plan `plans/storm.toml`: the sweep
+/// *is* that plan with `sizes` as its axis, run through
 /// [`crate::plan::run_plan`].
 #[must_use]
 pub fn storm_sweep(sizes: &[usize], seed: u64, threads: usize) -> StormSweepResult {
-    let mut plan = crate::plan::reference_storm().with_seed(seed);
-    plan.axis = crate::plan::Axis::Hosts(sizes.to_vec());
-    let outcome = crate::plan::run_plan(&plan, threads).expect_clean();
-    let as_scheme = |p: &crate::plan::PointRun| StormScheme {
+    let axis = Axis::Hosts(sizes.to_vec());
+    let outcome = run_corpus_sweep("plans/storm.toml", axis, seed, threads);
+    let as_scheme = |p: &PointRun| StormScheme {
         label: p.scheme.label().to_owned(),
         class_drops: p.class_drops,
         class_p99_ms: p.class_p99_ms,
@@ -940,13 +936,12 @@ pub struct TimelineResult {
 /// Seeds derive exactly as in [`storm_sweep`], so a timeline can be laid
 /// next to the matching storm CSV row.
 ///
-/// A thin adapter over [`crate::plan::reference_timeline`] run through
-/// [`crate::plan::run_plan`].
+/// A thin adapter over the corpus plan `plans/timeline.toml` run
+/// through [`crate::plan::run_plan`].
 #[must_use]
 pub fn storm_timeline(sizes: &[usize], seed: u64, threads: usize) -> TimelineResult {
-    let mut plan = crate::plan::reference_timeline().with_seed(seed);
-    plan.axis = crate::plan::Axis::Hosts(sizes.to_vec());
-    let outcome = crate::plan::run_plan(&plan, threads).expect_clean();
+    let axis = Axis::Hosts(sizes.to_vec());
+    let outcome = run_corpus_sweep("plans/timeline.toml", axis, seed, threads);
     TimelineResult {
         chrome_json: outcome.artifact,
         events: outcome.events,

@@ -18,7 +18,7 @@
 
 use std::net::Ipv6Addr;
 
-use fh_sim::{derive_seed, QueueKind, SimDuration, SimTime, Simulator};
+use fh_sim::{derive_seed, SimDuration, SimTime, Simulator};
 
 use fh_core::{ArAgent, ArSoftState, MhAgent, ProtocolConfig};
 use fh_mip::{MipClient, MobilityAnchor};
@@ -89,11 +89,6 @@ pub struct HmipConfig {
     /// across a window instead of in lock-step. Zero (the default) keeps
     /// every host on the classic synchronized walk.
     pub storm_stagger: SimDuration,
-    /// Event-queue backend for the run. [`QueueKind::Heap`] (the
-    /// default) and [`QueueKind::Calendar`] are bit-identical in pop
-    /// order; the calendar trades a small bookkeeping overhead for O(1)
-    /// scheduling on large event populations (the `hotpath` bench).
-    pub queue: QueueKind,
     /// Vertical-handover overlay: when `Some`, the NAR's AP becomes a
     /// wide-area cellular sector (own channel spec and coverage radius)
     /// instead of the second WLAN cell, so the walk crosses technologies.
@@ -149,7 +144,6 @@ impl Default for HmipConfig {
             nar_fault: NodeFaultSpec::default(),
             mh_fault: NodeFaultSpec::default(),
             storm_stagger: SimDuration::ZERO,
-            queue: QueueKind::Heap,
             cellular: None,
             interfaces: 1,
             trigger: TriggerMode::Legacy,
@@ -214,8 +208,7 @@ impl HmipScenario {
     /// Builds the scenario.
     #[must_use]
     pub fn build(cfg: HmipConfig) -> Self {
-        let mut sim: Simulator<NetMsg, World> =
-            Simulator::with_queue_kind(World::new(cfg.wireless), cfg.seed, cfg.queue);
+        let mut sim: Simulator<NetMsg, World> = Simulator::new(World::new(cfg.wireless), cfg.seed);
 
         // Prefixes and addresses.
         let cn_prefix = doc_subnet(0);

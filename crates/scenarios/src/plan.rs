@@ -9,15 +9,13 @@
 //! experiments, and render the established artifacts (chaos CSV, storm
 //! CSV, Chrome-trace JSON) byte-for-byte.
 //!
-//! The three legacy drivers are themselves plans now:
-//! [`reference_chaos`], [`reference_storm`] and [`reference_timeline`]
-//! encode their exact configurations, and
+//! The plans under version control are the [`CORPUS`]: the TOML files in
+//! `crates/scenarios/plans/`, compiled in. Three of them (`chaos`,
+//! `storm`, `timeline`) are the legacy drivers:
 //! [`crate::experiments::chaos_sweep`] /
 //! [`crate::experiments::storm_sweep`] /
-//! [`crate::experiments::storm_timeline`] are thin adapters over
-//! [`run_plan`]. The corpus TOML files in `crates/bench/plans/` parse to
-//! these constructors exactly (a test asserts it), so the CSV bytes CI
-//! locked in `tests/golden/` cannot drift.
+//! [`crate::experiments::storm_timeline`] load them and override the
+//! axis, and their artifact hash locks pin the bytes in `tests/golden/`.
 //!
 //! [`fuzz_plan`] derives random-but-valid plans from a seed for the
 //! `plan --fuzz` smoke battery: every fuzzed plan must conserve packets,
@@ -305,100 +303,53 @@ impl ScenarioPlan {
 }
 
 // ---------------------------------------------------------------------
-// Reference plans — the legacy drivers, as data
+// The corpus — the plans under version control
 // ---------------------------------------------------------------------
 
-/// The chaos sweep as a plan: hardened signaling, a ping-pong host under
-/// three classified 128 kb/s flows, loss injected on every control-plane
-/// path. Exactly [`crate::experiments::chaos_sweep`]'s configuration.
-#[must_use]
-pub fn reference_chaos() -> ScenarioPlan {
-    let mut protocol = ProtocolConfig::proposed();
-    protocol.buffer_request = 40;
-    protocol.rtx = RetransmitConfig::hardened();
-    ScenarioPlan {
-        name: "chaos".to_owned(),
-        seed: 2003,
-        report: ReportKind::Chaos,
-        topology: TopologySpec {
-            hosts: 1,
-            buffer_capacity: 40,
-            movement: MovementPlan::PingPong,
-            ..TopologySpec::default()
-        },
-        protocol,
-        schemes: vec![Scheme::PROPOSED],
-        axis: Axis::Loss(crate::experiments::CHAOS_LOSS_PROBS.to_vec()),
-        workloads: FLOW_CLASSES
-            .iter()
-            .map(|&class| WorkloadSpec {
-                hosts: HostSelector::One(0),
-                class: ClassPlan::Fixed(class),
-                packet_bytes: 160,
-                interval: SimDuration::from_millis(10),
-            })
-            .collect(),
-        faults: FaultPlan::default(),
-        run: RunSpec {
-            traffic_start: SimTime::from_millis(500),
-            traffic_stop: SimTime::from_secs(30),
-            horizon: SimTime::from_secs(45),
-            telemetry_ring: 0,
-        },
-        expectations: Expectations::default(),
-    }
+macro_rules! corpus {
+    ($($name:literal),* $(,)?) => {
+        [$((
+            concat!("plans/", $name, ".toml"),
+            include_str!(concat!("../plans/", $name, ".toml")),
+        )),*]
+    };
 }
 
-/// The handover storm as a plan: staggered one-way walks, one 64 kb/s
-/// flow per host with round-robin classes, soft-state lifetimes armed,
-/// original FMIPv6 against the enhanced scheme. Exactly
-/// [`crate::experiments::storm_sweep`]'s configuration.
-#[must_use]
-pub fn reference_storm() -> ScenarioPlan {
-    let mut protocol = ProtocolConfig::with_scheme(Scheme::NarOnly);
-    protocol.buffer_request = 12;
-    protocol.host_route_lifetime = SimDuration::from_secs(2);
-    protocol.dead_peer_timeout = SimDuration::from_secs(3);
-    ScenarioPlan {
-        name: "storm".to_owned(),
-        seed: 2003,
-        report: ReportKind::Storm,
-        topology: TopologySpec {
-            hosts: 4,
-            buffer_capacity: 42,
-            movement: MovementPlan::OneWay,
-            stagger: SimDuration::from_millis(500),
-            ..TopologySpec::default()
-        },
-        protocol,
-        schemes: vec![Scheme::NarOnly, Scheme::Dual { classify: true }],
-        axis: Axis::Hosts(crate::experiments::STORM_SIZES.to_vec()),
-        workloads: vec![WorkloadSpec {
-            hosts: HostSelector::All,
-            class: ClassPlan::RoundRobin,
-            packet_bytes: 160,
-            interval: SimDuration::from_millis(20),
-        }],
-        faults: FaultPlan::default(),
-        run: RunSpec::default(),
-        expectations: Expectations {
-            no_leaks: true,
-            ..Expectations::default()
-        },
-    }
-}
+/// The compiled-in plan corpus: `(display path, TOML source)`, so the
+/// drivers need no filesystem access to run it and CI exercises exactly
+/// the bytes under version control. A test keeps the table equal to the
+/// `*.toml` files on disk.
+pub const CORPUS: [(&str, &str); 15] = corpus![
+    "chaos",
+    "storm",
+    "timeline",
+    "chaos_burst",
+    "storm_crossing",
+    "blackout_long",
+    "parked_control",
+    "node_crash",
+    "power_off",
+    "scheme_ladder",
+    "duplication",
+    "softstate_pingpong",
+    "flashcrowd",
+    "metro",
+    "vertical",
+];
 
-/// The storm timeline as a plan: the storm run at two sizes with the
-/// full observability subsystem on, rendered as Chrome-trace JSON.
-/// Exactly [`crate::experiments::storm_timeline`]'s configuration.
+/// Parses the corpus plan displayed as `file` (e.g. `"plans/storm.toml"`).
+///
+/// # Panics
+///
+/// Panics if `file` is not a [`CORPUS`] entry or does not parse — both
+/// are defects in the tree, not in any input.
 #[must_use]
-pub fn reference_timeline() -> ScenarioPlan {
-    let mut plan = reference_storm();
-    plan.name = "timeline".to_owned();
-    plan.report = ReportKind::Timeline;
-    plan.axis = Axis::Hosts(crate::experiments::TIMELINE_SIZES.to_vec());
-    plan.run.telemetry_ring = DEFAULT_TIMELINE_RING;
-    plan
+pub fn corpus_plan(file: &str) -> ScenarioPlan {
+    let (_, toml) = CORPUS
+        .iter()
+        .find(|(f, _)| *f == file)
+        .unwrap_or_else(|| panic!("{file} is not in the plan corpus"));
+    ScenarioPlan::from_toml(toml, file).unwrap_or_else(|e| panic!("{e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -2133,7 +2084,7 @@ horizon_ms = 3000
 
     #[test]
     fn grid_shares_seeds_across_schemes_at_one_axis_point() {
-        let mut plan = reference_storm();
+        let mut plan = corpus_plan("plans/storm.toml");
         plan.axis = Axis::Hosts(vec![4, 8]);
         let grid = build_grid(&plan);
         assert_eq!(grid.len(), 4);
@@ -2142,6 +2093,83 @@ horizon_ms = 3000
         assert_eq!(grid[0].scheme, Scheme::NarOnly);
         assert_eq!(grid[1].scheme, Scheme::Dual { classify: true });
         assert_eq!(grid[2].hosts, 8);
+    }
+
+    /// A plan file that never made it into [`CORPUS`] would silently
+    /// never run.
+    #[test]
+    fn corpus_table_equals_the_plan_files_on_disk() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/plans");
+        let mut on_disk: Vec<String> = std::fs::read_dir(dir)
+            .expect("plans/ exists")
+            .map(|e| e.expect("readable entry").file_name())
+            .map(|f| format!("plans/{}", f.to_string_lossy()))
+            .collect();
+        on_disk.sort();
+        let mut in_table: Vec<&str> = CORPUS.iter().map(|&(file, _)| file).collect();
+        in_table.sort_unstable();
+        assert_eq!(on_disk, in_table);
+    }
+
+    /// The sweep adapters run their corpus plan: at the plan's own axis
+    /// and seed they reproduce the run whose artifact lock holds (so whose
+    /// bytes are the goldens), column for column.
+    #[test]
+    fn sweep_adapters_reproduce_their_locked_corpus_plans() {
+        use crate::experiments::{self, CHAOS_LOSS_PROBS, STORM_SIZES, TIMELINE_SIZES};
+
+        let locked = run_plan(&corpus_plan("plans/chaos.toml"), 1).expect_clean();
+        let sweep = experiments::chaos_sweep(&CHAOS_LOSS_PROBS, 2003, 1);
+        assert_eq!(sweep.events, locked.events);
+        assert_eq!(sweep.points.len(), locked.points.len());
+        for (s, p) in sweep.points.iter().zip(&locked.points) {
+            assert_eq!(Some(s.loss), p.loss);
+            assert_eq!(
+                (s.predictive, s.reactive, s.failed, s.recovery_ms),
+                (p.predictive, p.reactive, p.failed, p.recovery_ms)
+            );
+            assert_eq!(
+                (s.class_drops, s.fault_drops, s.retransmissions),
+                (p.class_drops, p.fault_drops, p.retransmissions)
+            );
+            assert_eq!((s.degradations, s.events), (p.degradations, p.events));
+        }
+
+        let locked = run_plan(&corpus_plan("plans/storm.toml"), 1).expect_clean();
+        let sweep = experiments::storm_sweep(&STORM_SIZES, 2003, 1);
+        assert_eq!(sweep.events, locked.events);
+        assert_eq!(2 * sweep.points.len(), locked.points.len());
+        for (point, pair) in sweep.points.iter().zip(locked.points.chunks(2)) {
+            for (s, p) in [(&point.fmipv6, &pair[0]), (&point.enhanced, &pair[1])] {
+                assert_eq!((point.n_mhs, s.label.as_str()), (p.hosts, p.scheme.label()));
+                assert_eq!(
+                    (s.class_drops, s.class_p99_ms, s.expired, s.reclaimed),
+                    (p.class_drops, p.class_p99_ms, p.expired, p.reclaimed)
+                );
+                assert_eq!(
+                    (s.failed, s.routes_expired, s.events),
+                    (p.failed, p.routes_expired, p.events)
+                );
+            }
+        }
+
+        let timeline = experiments::storm_timeline(&TIMELINE_SIZES, 2003, 1);
+        assert_eq!(
+            Some(fnv1a64(timeline.chrome_json.as_bytes())),
+            corpus_plan("plans/timeline.toml")
+                .expectations
+                .artifact_fnv1a
+        );
+    }
+
+    /// A caller-chosen axis renders other bytes than the file's lock
+    /// pins — at the file's own seed too, where `with_seed` keeps the
+    /// lock — so the adapters must clear it rather than panic.
+    #[test]
+    fn sweep_adapters_clear_the_artifact_lock() {
+        use crate::experiments::{storm_timeline, STORM_SIZES};
+        let _ = storm_timeline(&STORM_SIZES, 7, 1);
+        let _ = storm_timeline(&[4], 2003, 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 use std::any::Any;
 use std::fmt;
 
-use crate::queue::{EventKey, EventQueue, QueueKind};
+use crate::queue::{EventKey, EventQueue};
 use crate::rng::Rng64;
 use crate::time::{SimDuration, SimTime};
 
@@ -187,18 +187,9 @@ impl<M: 'static, S: 'static> Simulator<M, S> {
     /// Creates a simulator with the given shared state and RNG seed.
     #[must_use]
     pub fn new(shared: S, seed: u64) -> Self {
-        Simulator::with_queue_kind(shared, seed, QueueKind::Heap)
-    }
-
-    /// Creates a simulator whose pending-event set uses the given backend.
-    ///
-    /// Both [`QueueKind`]s deliver events in the same order; this is a
-    /// performance knob, not a behavioral one.
-    #[must_use]
-    pub fn with_queue_kind(shared: S, seed: u64, kind: QueueKind) -> Self {
         Simulator {
             now: SimTime::ZERO,
-            events: EventQueue::with_kind(kind),
+            events: EventQueue::new(),
             actors: Vec::new(),
             shared,
             rng: Rng64::seed_from(seed),

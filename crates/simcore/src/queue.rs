@@ -17,8 +17,14 @@
 //! old [`EventKey`].
 //!
 //! Two interchangeable backends implement the ordering ([`QueueKind`]): the
-//! default binary heap, and a calendar queue (the `calendar` module) with
-//! O(1) amortized push/pop. Delivery order is bit-identical between them.
+//! binary heap every simulation runs on, and a calendar queue (the
+//! `calendar` module) with O(1) amortized push/pop. Delivery order is
+//! bit-identical between them (proptested). The calendar is unreachable
+//! from any scenario, experiment or bin — [`crate::Simulator`] always
+//! builds the heap. It is still compiled only because `benchmark/`'s
+//! `simcore.queue.hold_ns_calendar_*` probes construct it; it goes,
+//! together with [`QueueKind`] and [`EventQueue::with_kind`], when a
+//! `benchmark` PR drops those two probes.
 //!
 //! # Examples
 //!
