@@ -91,6 +91,7 @@ impl BindingCache {
 
     /// The current care-of address for `stable`, if a live binding exists.
     #[must_use]
+    #[inline]
     pub fn lookup(&self, stable: Ipv6Addr, now: SimTime) -> Option<Ipv6Addr> {
         self.entries
             .get(&stable)

@@ -76,7 +76,7 @@ pub use fault::{FaultSpec, FaultState, FaultVerdict, GilbertElliott, NodeFaultSp
 /// Handle type of the counters behind [`NetStats::metrics_mut`], for
 /// components that register once and bump per packet.
 pub use fh_telemetry::CounterId;
-pub use link::{Link, LinkError, LinkId, LinkSpec};
+pub use link::{serialization_time, Link, LinkError, LinkId, LinkSpec};
 pub use msg::{ApId, ControlMsg};
 pub use packet::{ConnId, FlowId, Packet, Payload, TcpFlags, TcpSegment};
 pub use pool::{PacketHandle, PacketPool, PacketSlot};

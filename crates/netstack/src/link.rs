@@ -65,14 +65,34 @@ impl LinkSpec {
     /// Serialization time for `bytes` on this link, rounded up to a
     /// nanosecond (so it is never zero for a non-empty packet).
     #[must_use]
+    #[inline]
     pub fn tx_time(&self, bytes: u32) -> SimDuration {
-        // Widen to u128: bits * 1e9 overflows u64 for jumbo packets on
-        // kilobit-class links (e.g. 4 GiB-scale bit-counts), and saturating
-        // at SimDuration::MAX is still the right answer there.
-        let bits = u128::from(bytes) * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(u128::from(self.bandwidth_bps));
-        SimDuration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX).max(1))
+        serialization_time(bytes, self.bandwidth_bps)
     }
+}
+
+/// Time to clock `bytes` onto a `bandwidth_bps` channel, rounded up to a
+/// nanosecond (never zero) and saturating at [`SimDuration::MAX`]. Wired
+/// links and radio channels share it.
+///
+/// # Panics
+///
+/// Panics if `bandwidth_bps` is zero.
+#[must_use]
+#[inline]
+pub fn serialization_time(bytes: u32, bandwidth_bps: u64) -> SimDuration {
+    let bits = u64::from(bytes) * 8;
+    let ns = match bits.checked_mul(1_000_000_000) {
+        Some(bit_ns) => bit_ns.div_ceil(bandwidth_bps),
+        // bits * 1e9 leaves u64 above 2 305 843 009 bytes; only such jumbo
+        // frames pay for the u128 division, and on a slow enough channel
+        // they saturate, which is still the right answer there.
+        None => {
+            let ns = (u128::from(bits) * 1_000_000_000).div_ceil(u128::from(bandwidth_bps));
+            u64::try_from(ns).unwrap_or(u64::MAX)
+        }
+    };
+    SimDuration::from_nanos(ns.max(1))
 }
 
 /// Why a link refused a packet.
@@ -173,6 +193,7 @@ impl Link {
     ///
     /// Callers must drain this after every successful
     /// [`try_transmit`](Self::try_transmit) and schedule a second delivery.
+    #[inline]
     pub fn take_duplicate(&mut self, from: NodeId) -> Option<SimTime> {
         let dir = self.dir_from(from)?;
         self.pending_dup[dir].take()
@@ -180,6 +201,7 @@ impl Link {
 
     /// The opposite endpoint, or `None` if `node` is not attached.
     #[must_use]
+    #[inline]
     pub fn peer(&self, node: NodeId) -> Option<NodeId> {
         if node == self.a {
             Some(self.b)
@@ -210,6 +232,7 @@ impl Link {
     /// [`LinkError::NotAttached`] if `from` is not an endpoint;
     /// [`LinkError::QueueFull`] if the drop-tail queue overflows;
     /// [`LinkError::Faulted`] if the fault layer discarded the packet.
+    #[inline]
     pub fn try_transmit(
         &mut self,
         now: SimTime,
@@ -407,6 +430,41 @@ mod tests {
         let bytes = u32::MAX;
         let want = (u128::from(bytes) * 8 * 1_000_000_000).div_ceil(8_000_000) as u64;
         assert_eq!(spec.tx_time(bytes), SimDuration::from_nanos(want));
+    }
+
+    #[test]
+    fn serialization_time_matches_u128_formula_across_the_u64_boundary() {
+        // 2 305 843 009 bytes is the last size whose bits * 1e9 fits u64.
+        const LAST_FIT: u32 = 2_305_843_009;
+        assert!((u64::from(LAST_FIT) * 8)
+            .checked_mul(1_000_000_000)
+            .is_some());
+        assert!((u64::from(LAST_FIT + 1) * 8)
+            .checked_mul(1_000_000_000)
+            .is_none());
+        for bps in [1, 64_000, mbps(10)] {
+            for bytes in [0, 1, 1500, LAST_FIT - 1, LAST_FIT, LAST_FIT + 1, u32::MAX] {
+                let ns = (u128::from(bytes) * 8 * 1_000_000_000).div_ceil(u128::from(bps));
+                let want = u64::try_from(ns).unwrap_or(u64::MAX).max(1);
+                assert_eq!(
+                    serialization_time(bytes, bps),
+                    SimDuration::from_nanos(want),
+                    "{bytes} bytes at {bps} b/s"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn transmit_saturates_instead_of_wrapping_the_arrival() {
+        // A 4 GiB frame on a 1 bit/s link takes longer than the clock can
+        // hold; it must arrive at the end of time, not 1 ms from now.
+        let (a, b, _) = nodes();
+        let mut l = Link::new(a, b, LinkSpec::new(1, SimDuration::from_millis(1), 10));
+        assert_eq!(
+            l.try_transmit(SimTime::from_secs(1), a, u32::MAX),
+            Ok(SimTime::MAX)
+        );
     }
 
     #[test]

@@ -201,6 +201,7 @@ impl Packet {
     /// class-aware treatment survives tunneling, exactly as the scheme
     /// requires on the PAR→NAR tunnel.
     #[must_use]
+    #[inline]
     pub fn encapsulate(self, tunnel_src: Ipv6Addr, tunnel_dst: Ipv6Addr) -> Packet {
         Packet {
             flow: self.flow,
@@ -218,6 +219,7 @@ impl Packet {
     /// Unwraps one layer of tunneling. Returns `None` if this packet is not
     /// encapsulated.
     #[must_use]
+    #[inline]
     pub fn decapsulate(self) -> Option<Packet> {
         match self.payload {
             Payload::Encap(inner) => Some(*inner),
@@ -350,22 +352,15 @@ mod tests {
         // queues, AR buffers, tunnels), so their size is a hot-path
         // constant. The seed laid ControlMsg (104 bytes) inline in Payload,
         // making every Packet 168 bytes; boxing the control variant brought
-        // it down. Raising either bound needs a deliberate decision, not a
+        // it down. Raising either pin needs a deliberate decision, not a
         // drive-by field.
         assert!(
             std::mem::size_of::<Payload>() <= 40,
             "Payload grew to {} bytes",
             std::mem::size_of::<Payload>()
         );
-        assert!(
-            std::mem::size_of::<Packet>() < 168,
-            "Packet grew back to seed size ({} bytes)",
-            std::mem::size_of::<Packet>()
-        );
-        assert!(
-            std::mem::size_of::<Packet>() <= 104,
-            "Packet grew to {} bytes",
-            std::mem::size_of::<Packet>()
-        );
+        // Exact (what `netstack.packet.size_bytes` reports; the seed's was
+        // 168), so a new field fails here by count.
+        assert_eq!(std::mem::size_of::<Packet>(), 96);
     }
 }

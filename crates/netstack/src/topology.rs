@@ -177,6 +177,7 @@ impl Topology {
 
     /// The node owning `addr` under longest-prefix match.
     #[must_use]
+    #[inline]
     pub fn owner_of(&self, addr: Ipv6Addr) -> Option<NodeId> {
         self.prefixes
             .iter()
@@ -264,6 +265,7 @@ impl Topology {
     /// Panics if routes have not been computed since the last topology
     /// change.
     #[must_use]
+    #[inline]
     pub fn route(&self, from: NodeId, dst: Ipv6Addr) -> RouteDecision {
         let Some(owner) = self.owner_of(dst) else {
             return RouteDecision::Unroutable;

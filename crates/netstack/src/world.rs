@@ -395,11 +395,13 @@ impl NetStats {
     }
 
     /// Records a data packet entering the network on `flow`.
+    #[inline]
     pub fn record_sent(&mut self, flow: FlowId) {
         self.flow_mut(flow).sent += 1;
     }
 
     /// Records a data packet reaching its application sink on `flow`.
+    #[inline]
     pub fn record_delivered(&mut self, flow: FlowId) {
         self.delivered += 1;
         self.flow_mut(flow).delivered += 1;
@@ -668,7 +670,7 @@ mod tests {
     use crate::addr::doc_subnet;
     use crate::class::ServiceClass;
     use crate::link::LinkSpec;
-    use fh_sim::{Actor, SimTime, Simulator};
+    use fh_sim::{Actor, ActorId, SimTime, Simulator};
 
     /// Minimal world for tests.
     #[derive(Default)]
@@ -690,6 +692,23 @@ mod tests {
         fn stats_mut(&mut self) -> &mut NetStats {
             &mut self.stats
         }
+    }
+
+    #[test]
+    fn event_payload_layout_stays_small() {
+        // Every scheduled event moves one `NetMsg` into a queue slot and one
+        // out of it; the slot payload is `Option<(ActorId, NetMsg)>` (the
+        // niche keeps the `Option` free), 128 bytes a slot with its stamp.
+        assert!(
+            std::mem::size_of::<NetMsg>() <= 112,
+            "NetMsg grew to {} bytes",
+            std::mem::size_of::<NetMsg>()
+        );
+        assert!(
+            std::mem::size_of::<Option<(ActorId, NetMsg)>>() <= 120,
+            "event slot payload grew to {} bytes",
+            std::mem::size_of::<Option<(ActorId, NetMsg)>>()
+        );
     }
 
     /// A node that forwards anything not local and counts local deliveries.

@@ -285,24 +285,31 @@ impl<M: 'static, S: 'static> Simulator<M, S> {
         if self.processed >= self.event_limit {
             return false;
         }
-        let Some((time, (to, msg))) = self.events.pop() else {
+        let Some((time, event)) = self.events.pop_in_place() else {
             return false;
         };
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.processed += 1;
+        let to = event.as_ref().expect("backend returned a live entry").0;
         // Temporarily detach the actor so `Ctx` can borrow everything else.
-        if let Some(mut actor) = self.actors.get_mut(to.0).and_then(Option::take) {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: to,
-                events: &mut self.events,
-                shared: &mut self.shared,
-                rng: &mut self.rng,
-            };
-            actor.handle(&mut ctx, msg);
-            self.actors[to.0] = Some(actor);
-        }
+        let Some(mut actor) = self.actors.get_mut(to.0).and_then(Option::take) else {
+            *event = None;
+            return true;
+        };
+        // One move, slot → handler argument; the handler may reuse the slot.
+        // Taking it before the actor lookup parks it on the stack (+8 % on the
+        // Fig 4.2 grid, DESIGN §13).
+        let (_, msg) = event.take().expect("backend returned a live entry");
+        let mut ctx = Ctx {
+            now: self.now,
+            self_id: to,
+            events: &mut self.events,
+            shared: &mut self.shared,
+            rng: &mut self.rng,
+        };
+        actor.handle(&mut ctx, msg);
+        self.actors[to.0] = Some(actor);
         true
     }
 
@@ -459,6 +466,33 @@ mod tests {
         sim.schedule(SimTime::ZERO, a, Msg::Tick);
         assert_eq!(sim.run(), 1);
         assert_eq!(sim.now(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn message_survives_its_handler_reusing_the_queue() {
+        // The message is taken out of its queue slot for the handler; a
+        // handler that schedules before reading must still see it whole,
+        // even when its pushes recycle that slot and reallocate both the
+        // slot arena and the heap under it.
+        struct Burst;
+        impl Actor<Vec<u64>, Vec<Vec<u64>>> for Burst {
+            fn handle(&mut self, ctx: &mut Ctx<'_, Vec<u64>, Vec<Vec<u64>>>, msg: Vec<u64>) {
+                if msg.len() > 1 {
+                    for i in 0..1_000 {
+                        ctx.send_self(SimDuration::from_micros(i), vec![i]);
+                    }
+                }
+                ctx.shared.push(msg);
+            }
+        }
+        let mut sim: Simulator<Vec<u64>, Vec<Vec<u64>>> = Simulator::new(Vec::new(), 1);
+        let a = sim.add_actor(Box::new(Burst));
+        let original: Vec<u64> = (0..64).collect();
+        sim.schedule(SimTime::ZERO, a, original.clone());
+        assert_eq!(sim.run(), 1_001);
+        assert_eq!(sim.shared[0], original);
+        let echoed: Vec<u64> = sim.shared[1..].iter().map(|m| m[0]).collect();
+        assert_eq!(echoed, (0..1_000).collect::<Vec<_>>());
     }
 
     #[test]

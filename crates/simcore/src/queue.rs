@@ -16,9 +16,20 @@
 //! doubles as a generation counter, so a recycled slot can never satisfy an
 //! old [`EventKey`].
 //!
-//! Two interchangeable backends implement the ordering ([`QueueKind`]): the
-//! binary heap every simulation runs on, and a calendar queue (the
-//! `calendar` module) with O(1) amortized push/pop. Delivery order is
+//! Every simulation orders its entries with this module's own array-backed
+//! binary min-heap (the private `MinHeap`), not the standard library's. The
+//! queues the thesis runs build hold tens of entries, so a push or pop is a
+//! handful of comparisons; what the library heap cost there was copies — an
+//! entry assembled on the stack from three scalars, reloaded as a vector to
+//! be pushed, reloaded again to be sifted (store-forwarding stalls each
+//! time). Here the moving element stays in locals and is written once, at
+//! its final position. The payload is written once as well: `push` stores
+//! it straight into its slot, and [`crate::Simulator`] takes it straight
+//! out of the slot into the handler's argument; [`EventQueue::pop`] is that
+//! same in-place pop plus the `take()`.
+//!
+//! [`QueueKind::Calendar`] selects a calendar queue (the `calendar` module)
+//! with O(1) amortized push/pop in place of the heap. Delivery order is
 //! bit-identical between them (proptested). The calendar is unreachable
 //! from any scenario, experiment or bin — [`crate::Simulator`] always
 //! builds the heap. It is still compiled only because `benchmark/`'s
@@ -41,9 +52,6 @@
 //! assert_eq!(q.pop().unwrap().1, "late");
 //! assert!(q.pop().is_none());
 //! ```
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::calendar::Calendar;
 use crate::time::SimTime;
@@ -91,7 +99,7 @@ pub struct EventQueue<E> {
 /// in the slot arena either way.
 #[derive(Debug, Clone)]
 enum Backend {
-    Heap(BinaryHeap<Entry>),
+    Heap(MinHeap),
     Calendar(Calendar),
 }
 
@@ -110,23 +118,88 @@ pub(crate) struct Entry {
     pub(crate) slot: u32,
 }
 
-// Min-heap by (time, seq): invert the comparison.
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+impl Entry {
+    /// `true` if `self` is delivered strictly before `(time, seq)`.
+    #[inline]
+    fn before(&self, time: SimTime, seq: u64) -> bool {
+        (self.time, self.seq) < (time, seq)
     }
 }
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+/// Array-backed binary min-heap of [`Entry`] by `(time, seq)`.
+///
+/// The element being placed travels as scalars and is stored once, where it
+/// comes to rest; the entries it passes are each moved once. `seq` is unique
+/// per queue, so no two entries compare equal and the pop order does not
+/// depend on the sift strategy.
+#[derive(Debug, Clone, Default)]
+struct MinHeap {
+    entries: Vec<Entry>,
+}
+
+impl MinHeap {
+    #[inline]
+    fn push(&mut self, time: SimTime, seq: u64, slot: u32) {
+        let pos = self.entries.len();
+        // Claims the new leaf; `sift_up` overwrites it unless it stays put.
+        self.entries.push(Entry { time, seq, slot });
+        self.sift_up(pos, time, seq, slot);
+    }
+
+    /// Places `(time, seq, slot)` at or above the vacant position `pos`,
+    /// moving later ancestors down into the vacancy.
+    #[inline]
+    fn sift_up(&mut self, mut pos: usize, time: SimTime, seq: u64, slot: u32) {
+        let entries = self.entries.as_mut_slice();
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let above = entries[parent];
+            if above.before(time, seq) {
+                break;
+            }
+            entries[pos] = above;
+            pos = parent;
+        }
+        entries[pos] = Entry { time, seq, slot };
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Entry> {
+        let last = self.entries.pop()?;
+        let entries = self.entries.as_mut_slice();
+        let Some(&top) = entries.first() else {
+            return Some(last);
+        };
+        // Walk the vacancy left by the root down to a leaf along the earlier
+        // child (one comparison per level, no branch on its outcome), then
+        // sift the detached last leaf up from there: it came from the bottom
+        // and almost always belongs near it.
+        let end = entries.len();
+        let mut pos = 0;
+        let mut child = 1;
+        while child + 1 < end {
+            let right = entries[child + 1];
+            child += usize::from(right.before(entries[child].time, entries[child].seq));
+            entries[pos] = entries[child];
+            pos = child;
+            child = 2 * pos + 1;
+        }
+        if child < end {
+            entries[pos] = entries[child];
+            pos = child;
+        }
+        self.sift_up(pos, last.time, last.seq, last.slot);
+        Some(top)
+    }
+
+    fn peek(&self) -> Option<&Entry> {
+        self.entries.first()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
     }
 }
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue backed by the binary heap.
@@ -139,7 +212,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn with_kind(kind: QueueKind) -> Self {
         let backend = match kind {
-            QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
+            QueueKind::Heap => Backend::Heap(MinHeap::default()),
             QueueKind::Calendar => Backend::Calendar(Calendar::new()),
         };
         EventQueue {
@@ -167,10 +240,11 @@ impl<E> EventQueue<E> {
         self.seq += 1;
         let slot = match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = Slot {
-                    seq,
-                    event: Some(event),
-                };
+                // Field by field, so the payload is moved into the slot
+                // rather than through a `Slot` temporary.
+                let slot = &mut self.slots[i as usize];
+                slot.seq = seq;
+                slot.event = Some(event);
                 i
             }
             None => {
@@ -186,10 +260,9 @@ impl<E> EventQueue<E> {
             }
         };
         self.live += 1;
-        let entry = Entry { time, seq, slot };
         match &mut self.backend {
-            Backend::Heap(heap) => heap.push(entry),
-            Backend::Calendar(cal) => cal.push(entry, &self.slots),
+            Backend::Heap(heap) => heap.push(time, seq, slot),
+            Backend::Calendar(cal) => cal.push(Entry { time, seq, slot }, &self.slots),
         }
         EventKey { slot, seq }
     }
@@ -220,6 +293,15 @@ impl<E> EventQueue<E> {
     /// they surface, so amortized cost stays O(log n) per scheduled event on
     /// the heap backend and O(1) on the calendar.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (time, event) = self.pop_in_place()?;
+        Some((time, event.take().expect("backend returned a live entry")))
+    }
+
+    /// [`pop`](Self::pop) without moving the payload: unlinks the earliest
+    /// event and hands back its time and its slot's payload cell, which the
+    /// caller **must** `take()` before touching the queue again — the slot is
+    /// already on the free list.
+    pub(crate) fn pop_in_place(&mut self) -> Option<(SimTime, &mut Option<E>)> {
         let entry = match &mut self.backend {
             Backend::Heap(heap) => loop {
                 let entry = heap.pop()?;
@@ -231,11 +313,9 @@ impl<E> EventQueue<E> {
             },
             Backend::Calendar(cal) => cal.pop_min(&self.slots)?,
         };
-        let slot = &mut self.slots[entry.slot as usize];
-        let event = slot.event.take().expect("backend returned a live entry");
         self.free.push(entry.slot);
         self.live -= 1;
-        Some((entry.time, event))
+        Some((entry.time, &mut self.slots[entry.slot as usize].event))
     }
 
     /// The timestamp of the earliest pending event, if any.

@@ -217,16 +217,19 @@ impl SimDuration {
     }
 }
 
+/// Saturates at [`SimTime::MAX`]: a span that saturated on purpose (a
+/// 4 GiB frame on a 1 bit/s link) must not wrap an arrival time back to
+/// "soon". Use [`SimTime::checked_add`] to detect the overflow instead.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -244,16 +247,17 @@ impl Sub for SimTime {
     }
 }
 
+/// Saturates at [`SimDuration::MAX`], like `SimTime + SimDuration`.
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -375,6 +379,24 @@ mod tests {
             SimTime::ZERO.checked_add(SimDuration::from_secs(1)),
             Some(SimTime::from_secs(1))
         );
+    }
+
+    #[test]
+    fn addition_saturates_instead_of_wrapping() {
+        let late = SimTime::from_nanos(u64::MAX - 5);
+        assert_eq!(late + SimDuration::from_nanos(5), SimTime::MAX);
+        assert_eq!(late + SimDuration::from_nanos(6), SimTime::MAX);
+        assert_eq!(SimTime::from_secs(1) + SimDuration::MAX, SimTime::MAX);
+        assert_eq!(
+            SimDuration::MAX + SimDuration::from_millis(1),
+            SimDuration::MAX
+        );
+        let mut t = SimTime::from_secs(1);
+        t += SimDuration::MAX;
+        assert_eq!(t, SimTime::MAX);
+        let mut d = SimDuration::from_secs(1);
+        d += SimDuration::MAX;
+        assert_eq!(d, SimDuration::MAX);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property tests for the simulation kernel.
 
+use std::collections::BTreeMap;
+
 use fh_sim::stats::{TimeSeries, Welford};
 use fh_sim::{EventQueue, LaneQueue, QueueKind, Rng64, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -31,6 +33,40 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
         Just(QueueOp::Pop),
         any::<usize>().prop_map(QueueOp::Cancel),
         any::<usize>().prop_map(QueueOp::Cancel),
+    ]
+}
+
+/// One step of a script applied to an [`EventQueue`] and to the ordered-map
+/// model that specifies it.
+#[derive(Debug, Clone)]
+enum OracleOp {
+    /// Schedule at `clock + jitter` and remember the key.
+    Push(u64),
+    /// Pop; time and payload must be the model's first entry.
+    Pop,
+    /// `peek_time` must be the model's first key.
+    Peek,
+    /// Cancel key `index % keys.len()` of every key ever handed out, so
+    /// fired, cancelled and pre-`clear` keys are redeemed too.
+    Cancel(usize),
+    /// Drop everything pending.
+    Clear,
+}
+
+fn oracle_op() -> impl Strategy<Value = OracleOp> {
+    prop_oneof![
+        (0u64..5_000_000).prop_map(OracleOp::Push),
+        (0u64..5_000_000).prop_map(OracleOp::Push),
+        (0u64..4).prop_map(OracleOp::Push), // ties among near pushes
+        Just(OracleOp::Push(0)),            // exact tie with now
+        (1_000_000_000u64..3_000_000_000).prop_map(OracleOp::Push), // far future
+        Just(OracleOp::Pop),
+        Just(OracleOp::Pop),
+        Just(OracleOp::Pop),
+        Just(OracleOp::Peek),
+        any::<usize>().prop_map(OracleOp::Cancel),
+        any::<usize>().prop_map(OracleOp::Cancel),
+        any::<usize>().prop_map(OracleOp::Cancel),
     ]
 }
 
@@ -118,6 +154,57 @@ proptest! {
                 break;
             }
         }
+    }
+
+    /// The queue against its specification: an ordered map keyed by
+    /// `(time, push ordinal)`. Every pop, peek, length and cancel result
+    /// must match, through ties, far-future timers, recycled slots, dead
+    /// keys and `clear`.
+    #[test]
+    fn event_queue_matches_ordered_map_model(
+        ops in prop::collection::vec(oracle_op(), 1..600),
+        clear_at in prop::collection::vec(0usize..600, 0..3),
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+        let mut keys = Vec::new();
+        let mut clock = 0u64;
+        for (i, op) in ops.into_iter().enumerate() {
+            let ordinal = i as u64;
+            match if clear_at.contains(&i) { OracleOp::Clear } else { op } {
+                OracleOp::Push(jitter) => {
+                    let at = (SimTime::from_nanos(clock + jitter), ordinal);
+                    keys.push((q.push(at.0, ordinal), at));
+                    model.insert(at, ordinal);
+                }
+                OracleOp::Pop => {
+                    let want = model.pop_first().map(|((t, _), payload)| (t, payload));
+                    prop_assert_eq!(q.pop(), want);
+                    if let Some((t, _)) = want {
+                        clock = t.as_nanos();
+                    }
+                }
+                OracleOp::Peek => {
+                    prop_assert_eq!(q.peek_time(), model.keys().next().map(|&(t, _)| t));
+                }
+                OracleOp::Cancel(raw) => {
+                    if !keys.is_empty() {
+                        let (key, at) = keys[raw % keys.len()];
+                        prop_assert_eq!(q.cancel(key), model.remove(&at));
+                    }
+                }
+                OracleOp::Clear => {
+                    q.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+        }
+        while let Some(((t, _), payload)) = model.pop_first() {
+            prop_assert_eq!(q.pop(), Some((t, payload)));
+        }
+        prop_assert_eq!(q.pop(), None);
     }
 
     /// Events pop in nondecreasing time order, FIFO within a timestamp.

@@ -172,6 +172,7 @@ impl UdpSink {
 
     /// Consumes an arrival. Packets of other flows are ignored; duplicate
     /// sequence numbers are counted separately.
+    #[inline]
     pub fn on_packet(&mut self, now: SimTime, pkt: &Packet) {
         if pkt.flow != self.flow {
             return;

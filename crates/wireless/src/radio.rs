@@ -44,12 +44,9 @@ impl WirelessSpec {
 
     /// Serialization time of `bytes` on the channel (never zero).
     #[must_use]
+    #[inline]
     pub fn tx_time(&self, bytes: u32) -> SimDuration {
-        // Widen to u128: bits * 1e9 overflows u64 for jumbo frame sizes on
-        // slow channels (same boundary as `LinkSpec::tx_time`).
-        let bits = u128::from(bytes) * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(u128::from(self.bandwidth_bps));
-        SimDuration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX).max(1))
+        fh_net::serialization_time(bytes, self.bandwidth_bps)
     }
 }
 
@@ -272,6 +269,7 @@ impl RadioEnv {
 
     /// The AP `mh`'s serving interface is currently associated with.
     #[must_use]
+    #[inline]
     pub fn attachment(&self, mh: NodeId) -> Option<ApId> {
         self.attachments.get(&mh).copied()
     }
@@ -317,6 +315,7 @@ impl RadioEnv {
     /// downlink gate. For single-interface hosts this is exactly
     /// `attachment(mh) == Some(ap)`.
     #[must_use]
+    #[inline]
     pub fn is_attached(&self, mh: NodeId, ap: ApId) -> bool {
         self.attachments.get(&mh) == Some(&ap) || self.aux.get(&mh) == Some(&ap)
     }
@@ -723,6 +722,20 @@ mod tests {
             delay: SimDuration::ZERO,
         };
         assert_eq!(slow.tx_time(u32::MAX), SimDuration::MAX);
+    }
+
+    #[test]
+    fn airtime_saturates_instead_of_wrapping_the_arrival() {
+        // A 4 GiB frame at 1 bit/s outlasts the clock: it arrives at the end
+        // of time (not 1 ms from now) and the channel stays busy until then.
+        let mut radio = RadioEnv::new(WirelessSpec {
+            bandwidth_bps: 1,
+            delay: SimDuration::from_millis(1),
+        });
+        let ap = radio.add_ap(NodeId::from_index(0), Position::default(), 100.0);
+        let arrival = radio.reserve_airtime(SimTime::from_secs(1), ap, u32::MAX);
+        assert_eq!(arrival, SimTime::MAX);
+        assert_eq!(radio.channel_idle_at(ap), SimTime::MAX);
     }
 
     #[test]
