@@ -284,7 +284,18 @@ impl RetransmitConfig {
             ..RetransmitConfig::default()
         }
     }
+
+    /// The named presets scenario plans use, in listing order: `off` (the
+    /// draft-faithful single-shot signaling) and `hardened`
+    /// ([`RetransmitConfig::hardened`]).
+    pub const PRESETS: [(&'static str, Preset); 2] = [
+        ("off", RetransmitConfig::default),
+        ("hardened", RetransmitConfig::hardened),
+    ];
 }
+
+/// Builds one [`RetransmitConfig::PRESETS`] entry.
+type Preset = fn() -> RetransmitConfig;
 
 /// Error returned when a string names no [`RetransmitConfig`] preset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,8 +305,9 @@ impl std::fmt::Display for ParseRetransmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown retransmit policy \"{}\" (expected \"off\" or \"hardened\")",
-            self.0
+            "unknown retransmit policy \"{}\" (expected one of: {})",
+            self.0,
+            RetransmitConfig::PRESETS.map(|(name, _)| name).join(", ")
         )
     }
 }
@@ -305,17 +317,13 @@ impl std::error::Error for ParseRetransmitError {}
 impl std::str::FromStr for RetransmitConfig {
     type Err = ParseRetransmitError;
 
-    /// Parses the two named presets scenario plans use: `off` (the
-    /// draft-faithful single-shot signaling) and `hardened`
-    /// ([`RetransmitConfig::hardened`]), case-insensitively.
+    /// Parses a [`RetransmitConfig::PRESETS`] name, case-insensitively.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.eq_ignore_ascii_case("off") {
-            Ok(RetransmitConfig::default())
-        } else if s.eq_ignore_ascii_case("hardened") {
-            Ok(RetransmitConfig::hardened())
-        } else {
-            Err(ParseRetransmitError(s.to_owned()))
-        }
+        RetransmitConfig::PRESETS
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(s))
+            .map(|(_, preset)| preset())
+            .ok_or_else(|| ParseRetransmitError(s.to_owned()))
     }
 }
 

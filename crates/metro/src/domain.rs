@@ -304,18 +304,12 @@ impl Domain {
         SimDuration::from_nanos((ms * 1e6) as u64)
     }
 
-    /// The scheme's buffer cap per handover, in packets.
+    /// The scheme's buffer cap per handover, in packets: one reservation
+    /// per router the scheme buffers at (so DUAL aggregates two).
     fn buffer_cap(&self) -> usize {
-        match self.cfg.scheme {
-            Scheme::NoBuffer => 0,
-            // SafetyNet parks its insurance copies at the NAR only, so
-            // its cap matches the single-router schemes.
-            Scheme::NarOnly | Scheme::ParOnly | Scheme::SafetyNet => {
-                self.cfg.buffer_request as usize
-            }
-            // The proposed scheme aggregates both routers' reservations.
-            Scheme::Dual { .. } => 2 * self.cfg.buffer_request as usize,
-        }
+        let s = self.cfg.scheme;
+        let routers = usize::from(s.uses_nar_buffer()) + usize::from(s.uses_par_buffer());
+        routers * self.cfg.buffer_request as usize
     }
 
     fn deliver(&mut self, class: u8, created: SimTime) {

@@ -52,11 +52,6 @@ pub struct MetroConfig {
     pub domains: u32,
     /// Total mobile hosts, homed round-robin across domains.
     pub hosts: u32,
-    /// Access routers per domain. A validated plan key that is inert at
-    /// metro fidelity: every AR of a domain runs the same scheme with
-    /// the same reservation, so which one a host sits on changes
-    /// nothing the kernel models.
-    pub ars_per_domain: u32,
     /// One-way latency of every inter-MAP boundary link. Its minimum is
     /// the conservative lookahead; must be positive when `domains > 1`.
     pub boundary_latency: SimDuration,
@@ -92,7 +87,6 @@ impl Default for MetroConfig {
         MetroConfig {
             domains: 4,
             hosts: 1_000,
-            ars_per_domain: 4,
             boundary_latency: SimDuration::from_millis(8),
             remote_fraction: 0.2,
             mean_residence: SimDuration::from_secs(4),

@@ -19,7 +19,7 @@
 use serde::{Deserialize, Serialize};
 
 use fh_core::{ProtocolConfig, Scheme};
-use fh_net::{FlowId, ServiceClass};
+use fh_net::{ControlMsg, FlowId, ServiceClass};
 use fh_sim::{derive_seed, SimDuration, SimTime};
 
 use crate::hmip::{HmipConfig, HmipScenario, MovementPlan};
@@ -980,25 +980,8 @@ pub fn signaling_overhead(seed: u64) -> SignalingResult {
     scenario.set_traffic_window(SimTime::from_millis(500), SimTime::from_millis(13_000));
     scenario.run_until(SimTime::from_secs(16));
     let stats = &scenario.sim.shared.stats;
-    let kinds = [
-        "RA",
-        "RS",
-        "RtSolPr",
-        "PrRtAdv",
-        "HI",
-        "HAck",
-        "FBU",
-        "FBAck",
-        "FNA",
-        "BI",
-        "BA",
-        "BF",
-        "BufferFull",
-        "BU",
-        "BAck",
-    ];
     SignalingResult {
-        by_kind: kinds
+        by_kind: ControlMsg::KIND_NAMES
             .iter()
             .map(|&k| (k.to_owned(), stats.control_count(k)))
             .collect(),

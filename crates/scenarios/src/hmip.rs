@@ -49,6 +49,27 @@ pub enum MovementPlan {
     Crossing,
 }
 
+impl MovementPlan {
+    /// Every pattern, in the order scenario plans list them.
+    pub const ALL: [MovementPlan; 4] = [
+        MovementPlan::OneWay,
+        MovementPlan::PingPong,
+        MovementPlan::Parked,
+        MovementPlan::Crossing,
+    ];
+
+    /// The name the scenario-plan `movement` key uses.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            MovementPlan::OneWay => "one-way",
+            MovementPlan::PingPong => "ping-pong",
+            MovementPlan::Parked => "parked",
+            MovementPlan::Crossing => "crossing",
+        }
+    }
+}
+
 /// Configuration of the Fig 4.1 scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct HmipConfig {

@@ -43,7 +43,6 @@ pub fn metro_config(plan: &ScenarioPlan, hosts: usize, scheme: Scheme, seed: u64
     MetroConfig {
         domains: d.count,
         hosts: u32::try_from(hosts).expect("host counts fit in u32"),
-        ars_per_domain: d.ars_per_domain,
         boundary_latency: d.boundary_latency,
         remote_fraction: d.remote_fraction,
         mean_residence: d.mean_residence,

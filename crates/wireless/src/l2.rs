@@ -51,6 +51,20 @@ pub enum TriggerMode {
     Mih,
 }
 
+impl TriggerMode {
+    /// Both modes, in the order scenario plans list them.
+    pub const ALL: [TriggerMode; 2] = [TriggerMode::Legacy, TriggerMode::Mih];
+
+    /// The name the scenario-plan `trigger` key uses.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            TriggerMode::Legacy => "legacy",
+            TriggerMode::Mih => "mih",
+        }
+    }
+}
+
 /// Configuration for a mobile host's radio process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioConfig {
