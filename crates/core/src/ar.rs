@@ -81,6 +81,9 @@ pub struct ArAgent {
     pub(crate) timer_sessions: FastMap<u64, Ipv6Addr>,
     pub(crate) next_token: u64,
     pub(crate) auth_seed: u64,
+    /// Scratch for [`ArAgent::broadcast_ra`]'s per-AP host list, kept so
+    /// a beacon allocates only its packets.
+    ra_targets: Vec<NodeId>,
 }
 
 impl ArAgent {
@@ -116,6 +119,7 @@ impl ArAgent {
             timer_sessions: FastMap::default(),
             next_token: 1,
             auth_seed: 0x5eed,
+            ra_targets: Vec::new(),
         }
     }
 
@@ -306,15 +310,17 @@ impl ArAgent {
             map: Some(self.map_addr),
             buffering: self.config.scheme.buffers(),
         };
-        for &ap in &self.dp.aps.clone() {
-            let mhs = ctx.shared.radio().attached_mhs(ap);
-            for mh in mhs {
+        let mut mhs = std::mem::take(&mut self.ra_targets);
+        for &ap in &self.dp.aps {
+            ctx.shared.radio().attached_mhs(ap, &mut mhs);
+            for &mh in &mhs {
                 fh_net::record_control(ctx, &ra);
                 let pkt =
                     Packet::control(self.addr, self.prefix.host(0xffff), ra.clone(), ctx.now());
                 send_downlink(ctx, ap, mh, pkt);
             }
         }
+        self.ra_targets = mhs;
     }
 
     // ------------------------------------------------------------------
@@ -323,9 +329,8 @@ impl ArAgent {
 
     fn handle_uplink<S: RadioWorld>(&mut self, ctx: &mut NetCtx<'_, S>, from: NodeId, pkt: Packet) {
         if pkt.dst == self.addr {
-            if let Payload::Control(msg) = &pkt.payload {
-                let msg = (**msg).clone();
-                self.handle_mh_control(ctx, from, pkt.src, msg);
+            if let Payload::Control(msg) = pkt.payload {
+                self.handle_mh_control(ctx, from, pkt.src, *msg);
                 return;
             }
         }
@@ -399,7 +404,7 @@ impl ArAgent {
     /// Processes a packet that terminates at this router (after routing).
     pub fn handle_local<S: RadioWorld>(&mut self, ctx: &mut NetCtx<'_, S>, pkt: Packet) {
         if pkt.dst == self.addr {
-            match pkt.payload.clone() {
+            match pkt.payload {
                 Payload::Encap(inner) => {
                     // Tunnel terminates here: NAR-side processing.
                     self.on_tunneled(ctx, *inner);

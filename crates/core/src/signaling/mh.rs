@@ -582,10 +582,9 @@ impl MhAgent {
             Payload::Encap(_) => pkt.decapsulate().expect("checked encap"),
             _ => pkt,
         };
-        match &pkt.payload {
+        match pkt.payload {
             Payload::Control(msg) => {
-                let msg = (**msg).clone();
-                self.on_control(ctx, pkt.src, msg);
+                self.on_control(ctx, pkt.src, *msg);
                 None
             }
             _ => {

@@ -22,6 +22,8 @@
 //! [`fh_telemetry::TraceInstant`], so a recorded log exports straight to
 //! Chrome-trace or JSONL via `fh_telemetry::export`.
 
+use std::fmt::Write as _;
+
 use fh_sim::SimTime;
 use fh_telemetry::{FlightRecorder, TraceInstant};
 
@@ -187,62 +189,62 @@ impl TraceInstant for TraceEvent {
         self.node().map_or(0, |n| n.index() as u64)
     }
 
-    fn args_json(&self) -> String {
-        match *self {
+    fn write_args(&self, out: &mut String) {
+        let _ = match *self {
             TraceEvent::ControlSent {
                 kind,
                 bytes,
                 piggybacked,
-            } => format!("{{\"kind\":\"{kind}\",\"bytes\":{bytes},\"piggyback\":{piggybacked}}}"),
+            } => write!(
+                out,
+                "{{\"kind\":\"{kind}\",\"bytes\":{bytes},\"piggyback\":{piggybacked}}}"
+            ),
             TraceEvent::ControlReceived { kind, at } => {
-                format!("{{\"kind\":\"{kind}\",\"at\":{}}}", at.index())
+                write!(out, "{{\"kind\":\"{kind}\",\"at\":{}}}", at.index())
             }
             TraceEvent::ControlRetransmit { kind, by } => {
-                format!("{{\"kind\":\"{kind}\",\"by\":{}}}", by.index())
+                write!(out, "{{\"kind\":\"{kind}\",\"by\":{}}}", by.index())
             }
-            TraceEvent::Drop { flow, reason } => {
-                format!("{{\"flow\":{},\"reason\":\"{}\"}}", flow.0, reason.label())
-            }
+            TraceEvent::Drop { flow, reason } => write!(
+                out,
+                "{{\"flow\":{},\"reason\":\"{}\"}}",
+                flow.0,
+                reason.label()
+            ),
             TraceEvent::L2 { mh, event } => {
-                format!("{{\"mh\":{},\"event\":\"{event:?}\"}}", mh.index())
+                write!(out, "{{\"mh\":{},\"event\":\"{event:?}\"}}", mh.index())
             }
-            TraceEvent::BufferAdmit { ar, class, flow } => format!(
+            TraceEvent::BufferAdmit { ar, class, flow }
+            | TraceEvent::BufferEvict { ar, class, flow } => write!(
+                out,
                 "{{\"ar\":{},\"class\":\"{class}\",\"flow\":{}}}",
                 ar.index(),
                 flow.0
             ),
-            TraceEvent::BufferEvict { ar, class, flow } => format!(
-                "{{\"ar\":{},\"class\":\"{class}\",\"flow\":{}}}",
-                ar.index(),
-                flow.0
-            ),
-            TraceEvent::BufferFlush { ar, path, pkts } => format!(
+            TraceEvent::BufferFlush { ar, path, pkts } => write!(
+                out,
                 "{{\"ar\":{},\"path\":\"{path}\",\"pkts\":{pkts}}}",
                 ar.index()
             ),
-            TraceEvent::FaultFired { node, what } => {
-                format!("{{\"node\":{},\"what\":\"{what}\"}}", node.index())
+            TraceEvent::FaultFired { node, what } | TraceEvent::StateExpired { node, what } => {
+                write!(out, "{{\"node\":{},\"what\":\"{what}\"}}", node.index())
             }
-            TraceEvent::StateExpired { node, what } => {
-                format!("{{\"node\":{},\"what\":\"{what}\"}}", node.index())
-            }
-            TraceEvent::StateReclaimed { node, pkts } => {
-                format!("{{\"node\":{},\"pkts\":{pkts}}}", node.index())
+            TraceEvent::StateReclaimed { node, pkts }
+            | TraceEvent::WatchdogFired { node, pkts } => {
+                write!(out, "{{\"node\":{},\"pkts\":{pkts}}}", node.index())
             }
             TraceEvent::PressureShed {
                 ar,
                 rung,
                 class,
                 flow,
-            } => format!(
+            } => write!(
+                out,
                 "{{\"ar\":{},\"rung\":\"{rung}\",\"class\":\"{class}\",\"flow\":{}}}",
                 ar.index(),
                 flow.0
             ),
-            TraceEvent::WatchdogFired { node, pkts } => {
-                format!("{{\"node\":{},\"pkts\":{pkts}}}", node.index())
-            }
-        }
+        };
     }
 }
 
@@ -312,7 +314,6 @@ impl TraceLog {
     /// Renders the log as one line per event.
     #[must_use]
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         if self.rec.overwritten() > 0 {
             let _ = writeln!(
@@ -384,6 +385,12 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args_json(ev: &TraceEvent) -> String {
+        let mut out = String::new();
+        ev.write_args(&mut out);
+        out
+    }
 
     #[test]
     fn disabled_log_stores_nothing() {
@@ -550,7 +557,7 @@ mod tests {
         assert_eq!(ev.name(), "buffer-admit");
         assert_eq!(ev.track(), 0);
         assert_eq!(
-            ev.args_json(),
+            args_json(&ev),
             "{\"ar\":0,\"class\":\"high-priority\",\"flow\":2}"
         );
         let send = TraceEvent::ControlSent {
@@ -560,7 +567,7 @@ mod tests {
         };
         assert_eq!(send.node(), None);
         assert_eq!(
-            send.args_json(),
+            args_json(&send),
             "{\"kind\":\"FBU\",\"bytes\":88,\"piggyback\":false}"
         );
         let shed = TraceEvent::PressureShed {
@@ -572,7 +579,7 @@ mod tests {
         assert_eq!(shed.name(), "pressure-shed");
         assert_eq!(shed.track(), 1);
         assert_eq!(
-            shed.args_json(),
+            args_json(&shed),
             "{\"ar\":1,\"rung\":\"drop-front\",\"class\":\"real-time\",\"flow\":5}"
         );
         let wd = TraceEvent::WatchdogFired {
@@ -580,6 +587,6 @@ mod tests {
             pkts: 3,
         };
         assert_eq!(wd.name(), "watchdog");
-        assert_eq!(wd.args_json(), "{\"node\":2,\"pkts\":3}");
+        assert_eq!(args_json(&wd), "{\"node\":2,\"pkts\":3}");
     }
 }

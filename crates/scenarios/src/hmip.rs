@@ -24,8 +24,9 @@ use fh_core::{ArAgent, ArSoftState, MhAgent, ProtocolConfig};
 use fh_mip::{MipClient, MobilityAnchor};
 use fh_net::{
     doc_subnet, ApId, FaultSpec, FlowId, HandoverOutcome, LinkSpec, NetMsg, NodeFaultSpec, NodeId,
-    ServiceClass,
+    ServiceClass, TraceEvent,
 };
+use fh_telemetry::{ChromeTrace, Span, SpanStore};
 use fh_traffic::{CbrSource, UdpSink};
 use fh_wireless::{
     MhRadio, Mobility, Position, RadioConfig, RadioTechnology, TriggerMode, WirelessSpec,
@@ -33,6 +34,41 @@ use fh_wireless::{
 
 use crate::nodes::{ArNode, CnNode, MapNode, MhNode};
 use crate::world::World;
+
+/// One run's telemetry, detached from its world by
+/// [`HmipScenario::take_recording`].
+#[derive(Debug)]
+pub(crate) struct Recording {
+    spans: SpanStore,
+    events: Vec<(SimTime, TraceEvent)>,
+    /// The sim time open spans render up to.
+    end: SimTime,
+}
+
+impl Recording {
+    /// Renders the run exactly as [`HmipScenario::chrome_trace_into`]
+    /// would have.
+    pub(crate) fn chrome_trace_into(&self, trace: &mut ChromeTrace, pid: u64) {
+        export_run(trace, pid, self.spans.spans(), &self.events, self.end);
+    }
+}
+
+/// Spans in begin order (open ones closed at `end`), then recorded
+/// events in ring order, all under `pid`.
+fn export_run<'a>(
+    trace: &mut ChromeTrace,
+    pid: u64,
+    spans: &[Span],
+    events: impl IntoIterator<Item = &'a (SimTime, TraceEvent)>,
+    end: SimTime,
+) {
+    for span in spans {
+        trace.add_span(pid, span, end);
+    }
+    for (t, event) in events {
+        trace.add_instant(pid, *t, event);
+    }
+}
 
 /// How the mobile hosts move.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -640,14 +676,28 @@ impl HmipScenario {
     /// Spans still open render to the current sim time with outcome
     /// `"open"`. Deterministic: spans in begin order, events in ring
     /// order.
-    pub fn chrome_trace_into(&self, trace: &mut fh_telemetry::ChromeTrace, pid: u64) {
+    pub fn chrome_trace_into(&self, trace: &mut ChromeTrace, pid: u64) {
         let stats = &self.sim.shared.stats;
-        let now = self.sim.now();
-        for span in stats.spans.spans() {
-            trace.add_span(pid, span, now);
-        }
-        for (t, event) in stats.trace.events() {
-            trace.add_instant(pid, *t, event);
+        export_run(
+            trace,
+            pid,
+            stats.spans.spans(),
+            stats.trace.events(),
+            self.sim.now(),
+        );
+    }
+
+    /// Detaches what [`HmipScenario::chrome_trace_into`] would render, so
+    /// a sweep can drop the world and render every point later, in grid
+    /// order, into one buffer. The spans move out; the recorded events
+    /// are copied into an exact-size `Vec`, under half the bytes their
+    /// JSON takes.
+    pub(crate) fn take_recording(&mut self) -> Recording {
+        let stats = &mut self.sim.shared.stats;
+        Recording {
+            spans: std::mem::take(&mut stats.spans),
+            events: stats.trace.events().cloned().collect(),
+            end: self.sim.now(),
         }
     }
 

@@ -29,7 +29,7 @@ use fh_telemetry::{Cell, ChromeTrace, CsvTable, FailureReport};
 
 use crate::expectations::{Expectations, PointAudit};
 use crate::experiments::FLOW_CLASSES;
-use crate::hmip::{CellularConfig, HmipConfig, HmipScenario, MovementPlan};
+use crate::hmip::{CellularConfig, HmipConfig, HmipScenario, MovementPlan, Recording};
 use crate::sweep::parallel_map;
 use fh_wireless::TriggerMode;
 
@@ -482,7 +482,7 @@ impl PlanOutcome {
     }
 }
 
-fn run_point(plan: &ScenarioPlan, gp: &GridPoint, pid: u64) -> (PointRun, Option<ChromeTrace>) {
+fn run_point(plan: &ScenarioPlan, gp: &GridPoint) -> (PointRun, Option<Recording>) {
     let mut protocol = plan.protocol;
     protocol.scheme = gp.scheme;
     let mut ar_link_fault = plan.faults.ar_link;
@@ -575,13 +575,7 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint, pid: u64) -> (PointRun, Option
     let failed = scenario.finalize();
     let leak = scenario.leak_report();
     let outcomes = scenario.outcomes();
-    let trace = if plan.report == ReportKind::Timeline {
-        let mut fragment = ChromeTrace::new();
-        scenario.chrome_trace_into(&mut fragment, pid);
-        Some(fragment)
-    } else {
-        None
-    };
+    let recording = (plan.report == ReportKind::Timeline).then(|| scenario.take_recording());
     let stats = &scenario.sim.shared.stats;
     let audit = PointAudit {
         conservation_violations: stats
@@ -622,7 +616,7 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint, pid: u64) -> (PointRun, Option
         audit,
         metro: None,
     };
-    (point, trace)
+    (point, recording)
 }
 
 /// Runs a plan's whole grid across `threads` workers and evaluates its
@@ -631,7 +625,7 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint, pid: u64) -> (PointRun, Option
 #[must_use]
 pub fn run_plan(plan: &ScenarioPlan, threads: usize) -> PlanOutcome {
     let grid = build_grid(plan);
-    let runs: Vec<(PointRun, Option<ChromeTrace>)> = if plan.report == ReportKind::Metro {
+    let runs: Vec<(PointRun, Option<Recording>)> = if plan.report == ReportKind::Metro {
         // Metro points parallelize *inside* the run (one worker per
         // domain shard), so the grid itself stays sequential — nesting
         // parallel_map around the epoch executor would oversubscribe.
@@ -644,16 +638,16 @@ pub fn run_plan(plan: &ScenarioPlan, threads: usize) -> PlanOutcome {
             })
             .collect()
     } else {
-        parallel_map(threads, &grid, |pid, gp| run_point(plan, gp, pid as u64))
+        parallel_map(threads, &grid, |_, gp| run_point(plan, gp))
     };
     let mut report = FailureReport::new(plan.name.clone());
     // Thread count is deliberately NOT part of the context: the same
     // violations must render the same bytes at any worker count.
     report.context("seed", plan.seed.to_string());
     let mut points = Vec::with_capacity(runs.len());
-    let mut traces = Vec::new();
+    let mut recordings = Vec::new();
     let mut events = 0u64;
-    for (i, (point, trace)) in runs.into_iter().enumerate() {
+    for (i, (point, recording)) in runs.into_iter().enumerate() {
         let subject = match point.loss {
             Some(p) => format!("point[{i}] loss={p} scheme={}", point.scheme.label()),
             None => format!(
@@ -666,12 +660,12 @@ pub fn run_plan(plan: &ScenarioPlan, threads: usize) -> PlanOutcome {
             .entries
             .extend(plan.expectations.check_point(&subject, &point.audit));
         events += point.events;
-        if let Some(t) = trace {
-            traces.push(t);
+        if let Some(r) = recording {
+            recordings.push((i as u64, r));
         }
         points.push(point);
     }
-    let artifact = render_artifact(plan, &points, traces);
+    let artifact = render_artifact(plan, &points, recordings);
     if let Some(entry) = plan.expectations.check_artifact(&artifact) {
         report.entries.push(entry);
     }
@@ -687,16 +681,21 @@ pub fn run_plan(plan: &ScenarioPlan, threads: usize) -> PlanOutcome {
 // Artifact renderers
 // ---------------------------------------------------------------------
 
-fn render_artifact(plan: &ScenarioPlan, points: &[PointRun], traces: Vec<ChromeTrace>) -> String {
+fn render_artifact(
+    plan: &ScenarioPlan,
+    points: &[PointRun],
+    recordings: Vec<(u64, Recording)>,
+) -> String {
     match plan.report {
         ReportKind::Chaos => render_chaos(points),
         ReportKind::Storm => render_storm(points),
         ReportKind::Timeline => {
-            // Fragments merge in grid order, so the JSON is byte-identical
-            // at any thread count.
+            // One buffer, points in grid order (`pid` = grid index), so
+            // the JSON is byte-identical at any thread count. Each
+            // recording is freed as soon as it is rendered.
             let mut trace = ChromeTrace::new();
-            for fragment in traces {
-                trace.append(fragment);
+            for (pid, recording) in recordings {
+                recording.chrome_trace_into(&mut trace, pid);
             }
             trace.finish()
         }

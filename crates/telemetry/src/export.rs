@@ -134,40 +134,51 @@ impl CsvTable {
 /// Implemented by each layer's event vocabulary (e.g. `fh_net`'s
 /// `TraceEvent`) so the exporters stay generic: `name` is the short
 /// label shown on the track, `track` groups events by actor, and
-/// `args_json` is a complete JSON object (`{...}`) of event details.
+/// `write_args` appends a complete JSON object (`{...}`) of event
+/// details straight into the exporter's buffer.
 pub trait TraceInstant {
     /// Short label for the timeline (e.g. `"buffer-admit"`).
     fn name(&self) -> &'static str;
     /// Track (timeline row) the event belongs to — usually the actor id.
     fn track(&self) -> u64;
-    /// Event details as a serialized JSON object, e.g. `{"class":"ef"}`.
-    fn args_json(&self) -> String;
+    /// Appends the event details to `out` as one serialized JSON object,
+    /// e.g. `{"class":"ef"}`.
+    fn write_args(&self, out: &mut String);
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Appends `s` to `out`, escaped for a JSON string literal. Every byte
+/// that needs escaping is ASCII, so clean runs are copied whole.
+fn escape_into(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[clean..]);
 }
 
-/// Microseconds with fixed sub-µs precision — the Chrome trace `ts`
-/// unit. Formatting through `{:.3}` keeps the output deterministic and
-/// keeps full nanosecond resolution.
-fn micros(t: SimTime) -> String {
-    format!("{:.3}", t.as_nanos() as f64 / 1_000.0)
+/// Appends `ns` nanoseconds as microseconds with three decimals — the
+/// Chrome trace `ts`/`dur` unit at full nanosecond resolution.
+///
+/// Integer arithmetic, so it allocates nothing and is exact at any
+/// value. It prints the same bytes as `format!("{:.3}", ns as f64 /
+/// 1000.0)` for every `ns < 2^52` (≈ 52 simulated days); above that the
+/// `f64` form stops being exact, this one does not.
+fn push_micros(out: &mut String, ns: u64) {
+    let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
 }
 
 /// Builder for a Chrome-trace ("trace event format") JSON array,
@@ -177,9 +188,15 @@ fn micros(t: SimTime) -> String {
 /// recorder events become `"ph":"i"` instants. `pid` partitions
 /// independent simulations (e.g. sweep points) and `tid` is the
 /// actor-level track within one simulation.
+///
+/// Every event is written straight into one growing buffer, so
+/// rendering allocates only when that buffer grows.
 #[derive(Debug, Clone, Default)]
 pub struct ChromeTrace {
-    events: Vec<String>,
+    /// `[` and the events so far, each after a newline and all but the
+    /// first after a comma; empty until the first event.
+    out: String,
+    events: usize,
 }
 
 impl ChromeTrace {
@@ -189,79 +206,84 @@ impl ChromeTrace {
         ChromeTrace::default()
     }
 
+    /// Opens the next array element and returns the buffer to write it
+    /// into.
+    fn next_event(&mut self) -> &mut String {
+        self.out
+            .push_str(if self.events == 0 { "[\n" } else { ",\n" });
+        self.events += 1;
+        &mut self.out
+    }
+
     /// Adds a span as a complete (`"ph":"X"`) event plus one instant
     /// per mark. Open spans are closed at `fallback_end` and labeled
     /// `"open"` so an aborted run still renders.
     pub fn add_span(&mut self, pid: u64, span: &Span, fallback_end: SimTime) {
         let end = span.end.unwrap_or(fallback_end);
-        let outcome = span.outcome.unwrap_or("open");
-        let dur_ns = end.saturating_since(span.start).as_nanos();
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"outcome\":\"{}\"}}}}",
-            escape_json(span.name),
-            micros(span.start),
-            dur_ns as f64 / 1_000.0,
-            pid,
-            span.track,
-            escape_json(outcome),
-        ));
+        let out = self.next_event();
+        out.push_str("{\"name\":\"");
+        escape_into(out, span.name);
+        out.push_str("\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":");
+        push_micros(out, span.start.as_nanos());
+        out.push_str(",\"dur\":");
+        push_micros(out, end.saturating_since(span.start).as_nanos());
+        let _ = write!(
+            out,
+            ",\"pid\":{pid},\"tid\":{},\"args\":{{\"outcome\":\"",
+            span.track
+        );
+        escape_into(out, span.outcome.unwrap_or("open"));
+        out.push_str("\"}}");
         for &(t, label) in &span.marks {
-            self.events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"mark\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\"tid\":{},\"s\":\"t\",\"args\":{{\"span\":\"{}\"}}}}",
-                escape_json(label),
-                micros(t),
-                pid,
-                span.track,
-                escape_json(span.name),
-            ));
+            let out = self.next_event();
+            out.push_str("{\"name\":\"");
+            escape_into(out, label);
+            out.push_str("\",\"cat\":\"mark\",\"ph\":\"i\",\"ts\":");
+            push_micros(out, t.as_nanos());
+            let _ = write!(
+                out,
+                ",\"pid\":{pid},\"tid\":{},\"s\":\"t\",\"args\":{{\"span\":\"",
+                span.track
+            );
+            escape_into(out, span.name);
+            out.push_str("\"}}");
         }
     }
 
     /// Adds one flight-recorder event as an instant (`"ph":"i"`).
     pub fn add_instant<E: TraceInstant>(&mut self, pid: u64, t: SimTime, event: &E) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\"tid\":{},\"s\":\"t\",\"args\":{}}}",
-            escape_json(event.name()),
-            micros(t),
-            pid,
-            event.track(),
-            event.args_json(),
-        ));
-    }
-
-    /// Appends another trace's events after this one's — the merge step
-    /// for sweep fragments. Appending fragments in grid order (never in
-    /// completion order) is what keeps the merged bytes independent of
-    /// the worker count.
-    pub fn append(&mut self, other: ChromeTrace) {
-        self.events.extend(other.events);
+        let out = self.next_event();
+        out.push_str("{\"name\":\"");
+        escape_into(out, event.name());
+        out.push_str("\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":");
+        push_micros(out, t.as_nanos());
+        let _ = write!(
+            out,
+            ",\"pid\":{pid},\"tid\":{},\"s\":\"t\",\"args\":",
+            event.track()
+        );
+        event.write_args(out);
+        out.push('}');
     }
 
     /// Number of events added so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events
     }
 
     /// `true` when no events have been added.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events == 0
     }
 
-    /// Serializes the trace as a JSON array of trace events.
+    /// Closes the JSON array of trace events and returns its bytes.
     #[must_use]
-    pub fn finish(self) -> String {
-        let mut out = String::from("[\n");
-        for (i, e) in self.events.iter().enumerate() {
-            out.push_str(e);
-            if i + 1 < self.events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]\n");
-        out
+    pub fn finish(mut self) -> String {
+        self.out
+            .push_str(if self.events == 0 { "[\n]\n" } else { "\n]\n" });
+        self.out
     }
 }
 
@@ -274,14 +296,11 @@ where
 {
     let mut out = String::new();
     for (t, e) in events {
-        let _ = writeln!(
-            out,
-            "{{\"t_ns\":{},\"name\":\"{}\",\"track\":{},\"args\":{}}}",
-            t.as_nanos(),
-            escape_json(e.name()),
-            e.track(),
-            e.args_json(),
-        );
+        let _ = write!(out, "{{\"t_ns\":{},\"name\":\"", t.as_nanos());
+        escape_into(&mut out, e.name());
+        let _ = write!(out, "\",\"track\":{},\"args\":", e.track());
+        e.write_args(&mut out);
+        out.push_str("}\n");
     }
     out
 }
@@ -300,9 +319,21 @@ mod tests {
         fn track(&self) -> u64 {
             self.0
         }
-        fn args_json(&self) -> String {
-            format!("{{\"n\":{}}}", self.0)
+        fn write_args(&self, out: &mut String) {
+            let _ = write!(out, "{{\"n\":{}}}", self.0);
         }
+    }
+
+    fn escaped(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
+
+    fn micros(ns: u64) -> String {
+        let mut out = String::new();
+        push_micros(&mut out, ns);
+        out
     }
 
     #[test]
@@ -378,8 +409,58 @@ mod tests {
     }
 
     #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        let mut spans = SpanStore::new();
+        spans.enable();
+        let id = spans.begin("handover", 3, SimTime::from_nanos(1_000_001));
+        spans.annotate(id, SimTime::from_nanos(2_500_000), "link-down");
+        spans.end(id, SimTime::from_nanos(5_000_999), "predictive");
+        let mut trace = ChromeTrace::new();
+        assert!(trace.is_empty());
+        trace.add_span(7, &spans.spans()[0], SimTime::ZERO);
+        trace.add_instant(7, SimTime::from_nanos(4), &Ping(3));
+        assert_eq!(trace.len(), 3);
+        assert_eq!(
+            trace.finish(),
+            "[\n\
+             {\"name\":\"handover\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":1000.001,\"dur\":4000.998,\"pid\":7,\"tid\":3,\"args\":{\"outcome\":\"predictive\"}},\n\
+             {\"name\":\"link-down\",\"cat\":\"mark\",\"ph\":\"i\",\"ts\":2500.000,\"pid\":7,\"tid\":3,\"s\":\"t\",\"args\":{\"span\":\"handover\"}},\n\
+             {\"name\":\"ping\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":0.004,\"pid\":7,\"tid\":3,\"s\":\"t\",\"args\":{\"n\":3}}\n\
+             ]\n"
+        );
+        assert_eq!(ChromeTrace::new().finish(), "[\n]\n");
+    }
+
+    /// The integer printer equals the old `{:.3}`-on-`f64` form wherever
+    /// that form is exact: every `ns < 2^52`.
+    #[test]
+    fn micros_match_the_f64_form_below_2_pow_52() {
+        let f64_form = |ns: u64| format!("{:.3}", ns as f64 / 1_000.0);
+        for ns in [0, 1, 999, 1_000, 1_000_999, (1 << 52) - 1] {
+            assert_eq!(micros(ns), f64_form(ns), "ns = {ns}");
+        }
+        let mut rng = fh_sim::Rng64::seed_from(2003);
+        for _ in 0..10_000 {
+            // Every magnitude from 1 bit to 52 bits.
+            let ns = rng.next_u64() >> (12 + rng.gen_range_u64(52));
+            assert_eq!(micros(ns), f64_form(ns), "ns = {ns}");
+        }
+    }
+
+    #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        assert_eq!(escaped("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escaped("\r\t"), "\\r\\t");
+        assert_eq!(escaped("plain-label é"), "plain-label é");
+        for c in (0u8..0x20).map(char::from) {
+            let expected = match c {
+                '\n' => "\\n".to_owned(),
+                '\r' => "\\r".to_owned(),
+                '\t' => "\\t".to_owned(),
+                c => format!("\\u{:04x}", c as u32),
+            };
+            assert_eq!(escaped(&format!("x{c}y")), format!("x{expected}y"));
+        }
+        assert_eq!(escaped("\u{1}"), "\\u0001");
     }
 }

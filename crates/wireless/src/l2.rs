@@ -180,7 +180,7 @@ impl MhRadio {
     /// the owner's `Start` handler.
     pub fn start<S: RadioWorld>(&mut self, ctx: &mut NetCtx<'_, S>) {
         let pos = self.position_at(ctx.now());
-        if let Some(&ap) = ctx.shared.radio().aps_covering(pos).first() {
+        if let Some(ap) = ctx.shared.radio().nearest_covering(pos, None) {
             ctx.shared.radio_mut().attach(self.mh, ap);
             self.state = RadioState::Attached {
                 ap,
@@ -345,7 +345,7 @@ impl MhRadio {
             RadioState::Searching => {
                 // Scan: associate with the best covering AP after a full
                 // black-out (scan + associate, no anticipation possible).
-                if let Some(&ap) = ctx.shared.radio().aps_covering(pos).first() {
+                if let Some(ap) = ctx.shared.radio().nearest_covering(pos, None) {
                     self.state = RadioState::BlackOut { target: ap };
                     self.handoff_seq += 1;
                     ctx.send_self(
@@ -378,12 +378,7 @@ impl MhRadio {
                         let _ = m.on_detach();
                     }
                     emit_l2(ctx, self.mh, L2Event::LinkDown { ap });
-                    let next = ctx
-                        .shared
-                        .radio()
-                        .aps_covering(pos)
-                        .into_iter()
-                        .find(|&c| c != ap);
+                    let next = ctx.shared.radio().nearest_covering(pos, Some(ap));
                     if let Some(target) = next {
                         self.state = RadioState::BlackOut { target };
                         self.handoff_seq += 1;
@@ -414,11 +409,7 @@ impl MhRadio {
                         // Latched LinkGoingDown: trigger as soon as any
                         // alternative AP covers the host (it may appear
                         // later than the event itself).
-                        ctx.shared
-                            .radio()
-                            .aps_covering(pos)
-                            .into_iter()
-                            .find(|&c| c != ap)
+                        ctx.shared.radio().nearest_covering(pos, Some(ap))
                     } else {
                         None
                     }
@@ -437,11 +428,7 @@ impl MhRadio {
                             model.is_usable(candidate) && model.should_switch(serving, candidate)
                         })
                 } else if degrading {
-                    ctx.shared
-                        .radio()
-                        .aps_covering(pos)
-                        .into_iter()
-                        .find(|&c| c != ap)
+                    ctx.shared.radio().nearest_covering(pos, Some(ap))
                 } else {
                     None
                 };

@@ -242,7 +242,8 @@ impl RadioEnv {
             .map(|ap| ap.id)
     }
 
-    /// APs whose coverage disc contains `p`, nearest first.
+    /// APs whose coverage disc contains `p`, nearest first; equal
+    /// distances keep AP index order.
     #[must_use]
     pub fn aps_covering(&self, p: Position) -> Vec<ApId> {
         let mut v: Vec<&AccessPoint> = self.aps.iter().filter(|ap| ap.covers(p)).collect();
@@ -253,6 +254,26 @@ impl RadioEnv {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         v.into_iter().map(|ap| ap.id).collect()
+    }
+
+    /// The first AP of [`RadioEnv::aps_covering`] other than `except`,
+    /// found without allocating: the nearest covering AP, the lowest
+    /// index among equally near ones. A covered point's distance is
+    /// never `NaN` (`covers` is `distance <= radius`), so the strict `<`
+    /// keeps exactly the AP the stable sort would put first.
+    #[must_use]
+    pub fn nearest_covering(&self, p: Position, except: Option<ApId>) -> Option<ApId> {
+        let mut best: Option<(ApId, f64)> = None;
+        for ap in &self.aps {
+            let d = ap.pos.distance(p);
+            if d <= ap.radius
+                && Some(ap.id) != except
+                && best.is_none_or(|(_, nearest)| d < nearest)
+            {
+                best = Some((ap.id, d));
+            }
+        }
+        best.map(|(id, _)| id)
     }
 
     /// Associates `mh`'s serving interface with `ap`, replacing any
@@ -320,24 +341,20 @@ impl RadioEnv {
         self.attachments.get(&mh) == Some(&ap) || self.aux.get(&mh) == Some(&ap)
     }
 
-    /// Mobile hosts with any interface associated with `ap`, sorted.
-    #[must_use]
-    pub fn attached_mhs(&self, ap: ApId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .attachments
-            .iter()
-            .filter(|&(_, &a)| a == ap)
-            .map(|(&mh, _)| mh)
-            .collect();
-        v.extend(
-            self.aux
+    /// Fills `out` (cleared first) with the mobile hosts that have any
+    /// interface associated with `ap`, sorted. The buffer is the
+    /// caller's so a per-beacon caller reuses one allocation.
+    pub fn attached_mhs(&self, ap: ApId, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend(
+            self.attachments
                 .iter()
+                .chain(&self.aux)
                 .filter(|&(_, &a)| a == ap)
                 .map(|(&mh, _)| mh),
         );
-        v.sort(); // deterministic order
-        v.dedup();
-        v
+        out.sort(); // deterministic order
+        out.dedup();
     }
 
     /// Reserves airtime for one frame of `bytes` on `ap`'s channel and
@@ -587,6 +604,12 @@ mod tests {
         )
     }
 
+    fn attached(env: &RadioEnv, ap: ApId) -> Vec<NodeId> {
+        let mut mhs = Vec::new();
+        env.attached_mhs(ap, &mut mhs);
+        mhs
+    }
+
     fn pkt(seq: u64) -> Packet {
         Packet::data(
             fh_net::FlowId(1),
@@ -625,6 +648,44 @@ mod tests {
         assert_eq!(covering, vec![b, a]);
         // Outside both.
         assert!(env.aps_covering(Position::new(500.0, 0.0)).is_empty());
+    }
+
+    #[test]
+    fn nearest_covering_is_the_first_of_aps_covering() {
+        let mut sim = world();
+        let routers: Vec<NodeId> = (0..4)
+            .map(|_| sim.add_actor(Box::new(Sink { got: vec![] })))
+            .collect();
+        let env = sim.shared.radio_mut();
+        let a = env.add_ap(routers[0], Position::new(0.0, 0.0), 112.0);
+        let b = env.add_ap(routers[1], Position::new(212.0, 0.0), 112.0);
+        // Same centre as `b`: always equally near, so index order decides.
+        let c = env.add_ap(routers[2], Position::new(212.0, 0.0), 150.0);
+        let d = env.add_ap(routers[3], Position::new(106.0, 40.0), 60.0);
+        let excepts = [None, Some(a), Some(b), Some(c), Some(d)];
+        let agree = |env: &RadioEnv, p: Position| {
+            for except in excepts {
+                let sorted = env
+                    .aps_covering(p)
+                    .into_iter()
+                    .find(|&ap| Some(ap) != except);
+                assert_eq!(
+                    env.nearest_covering(p, except),
+                    sorted,
+                    "{p:?} except {except:?}"
+                );
+            }
+        };
+        // Equidistant from `a` and `b`/`c`.
+        agree(env, Position::new(106.0, 0.0));
+        let mut rng = fh_sim::Rng64::seed_from(7);
+        for _ in 0..2_000 {
+            let p = Position::new(
+                rng.gen_range_f64(-150.0, 400.0),
+                rng.gen_range_f64(-150.0, 150.0),
+            );
+            agree(env, p);
+        }
     }
 
     #[test]
@@ -962,7 +1023,7 @@ mod tests {
         assert!(env.is_attached(mh, cell));
         assert_eq!(env.attachment(mh), Some(wlan), "serving stays WLAN");
         assert_eq!(env.aux_attachment(mh), Some(cell));
-        assert_eq!(env.attached_mhs(cell), vec![mh]);
+        assert_eq!(attached(env, cell), vec![mh]);
 
         // Promote: cellular becomes serving, WLAN stays as secondary.
         assert_eq!(env.promote_aux(mh), Some(cell));
@@ -992,8 +1053,8 @@ mod tests {
         assert_eq!(env.attachment(mh), Some(a));
         env.attach(mh, b);
         assert_eq!(env.attachment(mh), Some(b));
-        assert_eq!(env.attached_mhs(a), vec![]);
-        assert_eq!(env.attached_mhs(b), vec![mh]);
+        assert_eq!(attached(env, a), vec![]);
+        assert_eq!(attached(env, b), vec![mh]);
         assert_eq!(env.detach(mh), Some(b));
         assert_eq!(env.attachment(mh), None);
     }

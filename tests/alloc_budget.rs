@@ -14,6 +14,7 @@ use fh_net::{doc_subnet, FlowId, LinkId, LinkSpec, NetCtx, NetMsg, Packet, Servi
 use fh_scenarios::experiments::BufferUtilizationParams;
 use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan, World};
 use fh_sim::{derive_seed, Actor, ActorId, SimDuration, SimTime, Simulator};
+use fh_telemetry::ChromeTrace;
 use fh_wireless::WirelessSpec;
 
 thread_local! {
@@ -69,9 +70,10 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The Fig 4.2 point DUAL × 20 hosts (what `experiments::buffer_utilization`
-/// runs at the widest point of its grid): at most 300 heap allocations per
+/// runs at the widest point of its grid): at most 265 heap allocations per
 /// 1 000 events. What remains is the `Payload::Encap` box per tunneled
-/// packet plus world build.
+/// packet plus world build; mobility sampling and router advertisements
+/// allocate nothing.
 #[test]
 fn fig42_dual_20_stays_within_its_allocation_budget() {
     let params = BufferUtilizationParams::default();
@@ -100,8 +102,44 @@ fn fig42_dual_20_stays_within_its_allocation_budget() {
     );
     let per_kev = allocations * 1000 / events;
     assert!(
-        per_kev <= 300,
+        per_kev <= 265,
         "{allocations} allocations over {events} events = {per_kev} per 1000 events"
+    );
+}
+
+/// Rendering a recorded run of over 10 000 events into one `ChromeTrace`
+/// allocates only when the trace's buffer grows — at most 2·log2(bytes)
+/// times, not a string per event.
+#[test]
+fn chrome_trace_render_allocates_only_to_grow_its_buffer() {
+    let mut scenario = HmipScenario::build(HmipConfig {
+        protocol: ProtocolConfig::with_scheme(Scheme::Dual { classify: true }),
+        n_mhs: 20,
+        movement: MovementPlan::PingPong,
+        ..HmipConfig::default()
+    });
+    for i in 0..20 {
+        scenario.add_audio_64k(i, ServiceClass::RealTime);
+    }
+    scenario.enable_telemetry(1 << 16);
+    scenario.run_until(SimTime::from_secs(100));
+
+    let before = allocs();
+    let mut trace = ChromeTrace::new();
+    scenario.chrome_trace_into(&mut trace, 0);
+    let events = trace.len();
+    let json = trace.finish();
+    let allocations = allocs() - before;
+
+    assert!(
+        events >= 10_000,
+        "the run must record real work: {events} events"
+    );
+    let bound = 2 * u64::from(json.len().ilog2());
+    assert!(
+        allocations <= bound,
+        "{allocations} allocations rendering {events} events into {} bytes (bound {bound})",
+        json.len()
     );
 }
 
