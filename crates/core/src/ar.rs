@@ -43,7 +43,7 @@ use fh_wireless::{send_downlink, RadioWorld};
 use crate::buffer::BufferPool;
 use crate::datapath::{reclaim_at_dead_node, Datapath, FlushTarget, RedirectView};
 use crate::metrics::ArMetrics;
-use crate::policy::{BufferPolicy, PolicyEngine, ShedRung};
+use crate::policy::ShedRung;
 use crate::scheme::ProtocolConfig;
 use crate::signaling::nar::{NarEvent, NarSession};
 use crate::signaling::par::{HiRtx, ParSession, ParState};
@@ -507,8 +507,9 @@ impl ArAgent {
         target: FlushTarget,
     ) {
         if self.config.flush_spacing.is_zero() {
-            let pkts = self.dp.pool.drain(pcoa);
-            self.dp.flush_batch(ctx, target, pkts);
+            for pkt in self.dp.pool.drain(pcoa) {
+                self.dp.flush_one(ctx, target, pkt);
+            }
             return;
         }
         let token = self.fresh_token(pcoa);
@@ -554,9 +555,9 @@ impl ArAgent {
     // Overload survival: the deterministic shed ladder
     // ------------------------------------------------------------------
 
-    /// Walks the active policy's shed ladder while the pool sits above its
-    /// high watermark, shedding down to the low watermark. Rungs engage
-    /// strictly in declared order — a rung is only entered once every
+    /// Walks the shed ladder ([`ShedRung::ALL`]) while the pool sits above
+    /// its high watermark, shedding down to the low watermark. Rungs engage
+    /// strictly in ladder order — a rung is only entered once every
     /// earlier one is exhausted — and [`ArMetrics::shed_order_violations`]
     /// audits that invariant at runtime. Every shed is a recorded
     /// [`fh_net::TraceEvent::PressureShed`] plus a
@@ -568,9 +569,8 @@ impl ArAgent {
             return;
         }
         let low = pressure.low_bytes();
-        let ladder = PolicyEngine::for_scheme(self.config.scheme).shed_ladder();
         let node = self.dp.node;
-        for (idx, rung) in ladder.into_iter().enumerate() {
+        for (idx, rung) in ShedRung::ALL.into_iter().enumerate() {
             loop {
                 if self.dp.pool.bytes_used() <= low {
                     return;
@@ -589,7 +589,7 @@ impl ArAgent {
                         if self.flushing.contains_key(&victim) {
                             return;
                         }
-                        self.audit_shed_order(&ladder, idx);
+                        self.audit_shed_order(idx);
                         self.force_flush(ctx, victim);
                         continue;
                     }
@@ -597,7 +597,7 @@ impl ArAgent {
                 let Some((_, pkt)) = self.dp.pool.shed_class_front(class) else {
                     break; // rung exhausted: escalate to the next one
                 };
-                self.audit_shed_order(&ladder, idx);
+                self.audit_shed_order(idx);
                 self.metrics.pressure_sheds += 1;
                 fh_net::record_drop(ctx, pkt.flow, DropReason::PressureShed);
                 let (rung_label, shed_class, flow) = (rung.label(), pkt.class, pkt.flow);
@@ -613,8 +613,8 @@ impl ArAgent {
 
     /// Runtime audit of the ladder invariant: shedding at rung `idx` while
     /// an earlier class rung still has packets parked is out of order.
-    fn audit_shed_order(&mut self, ladder: &[ShedRung], idx: usize) {
-        for earlier in &ladder[..idx] {
+    fn audit_shed_order(&mut self, idx: usize) {
+        for earlier in &ShedRung::ALL[..idx] {
             let class = match earlier {
                 ShedRung::BestEffort => ServiceClass::BestEffort,
                 ShedRung::DropFrontRealtime => ServiceClass::RealTime,

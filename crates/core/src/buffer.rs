@@ -55,15 +55,6 @@ pub struct BufferStats {
     pub shed: u64,
 }
 
-/// Index of an effective class into per-class arrays: `[RT, HP, BE]`.
-fn class_index(class: ServiceClass) -> usize {
-    match class.effective() {
-        ServiceClass::RealTime => 0,
-        ServiceClass::HighPriority => 1,
-        _ => 2,
-    }
-}
-
 #[derive(Debug, Default)]
 struct SessionBuffer {
     granted: u32,
@@ -77,17 +68,17 @@ struct SessionBuffer {
 
 impl SessionBuffer {
     fn note_admit(&mut self, class: ServiceClass) {
-        self.class_counts[class_index(class)] += 1;
+        self.class_counts[class.index()] += 1;
     }
     fn note_remove(&mut self, class: ServiceClass) {
-        let k = class_index(class);
+        let k = class.index();
         self.class_counts[k] = self.class_counts[k].saturating_sub(1);
     }
     /// `true` if the session-level rule admits one more packet of `class`.
     fn class_has_room(&self, class: ServiceClass) -> bool {
         match self.class_grants {
             Some(grants) => {
-                let k = class_index(class);
+                let k = class.index();
                 self.class_counts[k] < grants[k]
             }
             None => self.queue.len() < self.granted as usize,
@@ -536,7 +527,7 @@ impl BufferPool {
     /// later-rung shed to prove every earlier rung really was exhausted.
     #[must_use]
     pub fn has_class_parked(&self, class: ServiceClass) -> bool {
-        let k = class_index(class);
+        let k = class.index();
         self.sessions.values().any(|s| s.class_counts[k] > 0)
     }
 

@@ -24,13 +24,13 @@ use fh_net::{
     Prefix,
 };
 use fh_sim::FastMap;
-use fh_wireless::{send_downlink, send_downlink_batch, RadioWorld};
+use fh_wireless::{send_downlink, RadioWorld};
 
 use crate::buffer::BufferPool;
 use crate::policy::{
-    Admit, AdmitCtx, AvailabilityCase, ClassVerdicts, Overflow, PolicyEngine, Role,
+    Admit, AdmitCtx, AvailabilityCase, BufferPolicy, Overflow, PolicyEngine, Role,
 };
-use crate::scheme::{ProtocolConfig, Scheme};
+use crate::scheme::ProtocolConfig;
 
 /// Accounts a packet arriving at a crashed node so conservation still
 /// balances: data (including the inner flow of a tunneled packet — the
@@ -93,34 +93,6 @@ pub(crate) enum TunnelVerdict {
     PeerNotified,
 }
 
-/// Everything (besides the packet class) that determines a policy
-/// verdict: the scheme, the role, and the session snapshot. During a
-/// handover burst every packet of a session presents the same key, so
-/// one [`PolicyEngine::classify_batch`] dispatch serves the whole run —
-/// see [`Datapath::classify`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct VerdictKey {
-    scheme: Scheme,
-    role: Role,
-    case: AvailabilityCase,
-    nar_full: bool,
-    par_granted: bool,
-    threshold_a: u32,
-}
-
-impl VerdictKey {
-    fn new(scheme: Scheme, role: Role, ctx: &AdmitCtx) -> Self {
-        VerdictKey {
-            scheme,
-            role,
-            case: ctx.case,
-            nar_full: ctx.nar_full,
-            par_granted: ctx.par_granted,
-            threshold_a: ctx.threshold_a,
-        }
-    }
-}
-
 /// The access router's packet pipeline and transmission state.
 ///
 /// Owned by [`crate::ArAgent`]; the signaling handlers call into it for
@@ -141,8 +113,6 @@ pub(crate) struct Datapath {
     pub(crate) peer_links: FastMap<Ipv6Addr, LinkId>,
     /// Installed host routes (FMIPv6 serves the PCoA off-prefix).
     pub(crate) neighbors: FastMap<Ipv6Addr, NodeId>,
-    /// One-entry memo of the last classified session snapshot.
-    verdicts: Option<(VerdictKey, ClassVerdicts)>,
 }
 
 impl Datapath {
@@ -162,28 +132,7 @@ impl Datapath {
             pool: BufferPool::new(pool_capacity),
             peer_links: FastMap::default(),
             neighbors: FastMap::default(),
-            verdicts: None,
         }
-    }
-
-    /// The per-class verdict table for one session snapshot, memoized.
-    ///
-    /// Packets cross the datapath in runs that share a snapshot — a
-    /// redirect burst during the black-out, a tunnel drain, a flush — so
-    /// a one-entry cache turns N `PolicyEngine` dispatches into one
-    /// [`PolicyEngine::classify_batch`] call per run. Behaviorally
-    /// invisible: the policies are pure, and `classify_batch` is pinned
-    /// class-by-class against the per-packet dispatch.
-    fn classify(&mut self, scheme: Scheme, role: Role, ctx: &AdmitCtx) -> ClassVerdicts {
-        let key = VerdictKey::new(scheme, role, ctx);
-        if let Some((cached_key, cached)) = self.verdicts {
-            if cached_key == key {
-                return cached;
-            }
-        }
-        let verdicts = PolicyEngine::for_scheme(scheme).classify_batch(role, ctx);
-        self.verdicts = Some((key, verdicts));
-        verdicts
     }
 
     /// `true` if `ap` belongs to this router.
@@ -265,17 +214,14 @@ impl Datapath {
         pkt: Packet,
     ) {
         let class = pkt.effective_class();
-        let (verdict, verdicts) = if view.released {
+        let engine = PolicyEngine::for_scheme(cfg.scheme);
+        let verdict = if view.released {
             // After the flush the tunnel stays up for stragglers.
-            (
-                Admit::Tunnel {
-                    park_at_peer: false,
-                },
-                None,
-            )
+            Admit::Tunnel {
+                park_at_peer: false,
+            }
         } else {
-            let verdicts = self.classify(
-                cfg.scheme,
+            engine.admit(
                 Role::Par,
                 &AdmitCtx {
                     case: view.case,
@@ -284,8 +230,7 @@ impl Datapath {
                     par_granted: self.pool.granted(pcoa) > 0,
                     threshold_a: cfg.threshold_a,
                 },
-            );
-            (verdicts.admit(class), Some(verdicts))
+            )
         };
         match verdict {
             Admit::Tunnel { .. } => match view.peer {
@@ -329,10 +274,7 @@ impl Datapath {
                             flow,
                         });
                     }
-                    Err(rejected) => match (
-                        verdicts.expect("Park implies classified").overflow(class),
-                        view.peer,
-                    ) {
+                    Err(rejected) => match (engine.overflow(Role::Par, class), view.peer) {
                         // Rejected high-priority: tunnel unbuffered rather
                         // than drop — the drop-rate promise matters most.
                         (Overflow::SpillPeer, Some(nar)) => {
@@ -363,8 +305,8 @@ impl Datapath {
         pkt: Packet,
     ) -> TunnelVerdict {
         let class = pkt.effective_class();
-        let verdicts = self.classify(
-            cfg.scheme,
+        let engine = PolicyEngine::for_scheme(cfg.scheme);
+        let verdict = engine.admit(
             Role::Nar,
             &AdmitCtx {
                 case: AvailabilityCase::from_grants(view.granted > 0, false),
@@ -374,7 +316,7 @@ impl Datapath {
                 threshold_a: cfg.threshold_a,
             },
         );
-        let limit = match verdicts.admit(class) {
+        let limit = match verdict {
             Admit::Park(limit) => limit,
             // Everything else degenerates to an immediate delivery attempt
             // (lost during the black-out): NAR policies never tunnel onward
@@ -386,7 +328,7 @@ impl Datapath {
         };
         let ar = self.node;
         let flow = pkt.flow;
-        match verdicts.overflow(class) {
+        match engine.overflow(Role::Nar, class) {
             Overflow::DropFrontRealtime => {
                 match self.pool.buffer_realtime_dropfront(pcoa, pkt) {
                     Ok(None) => {
@@ -477,47 +419,6 @@ impl Datapath {
                 self.send_wired(ctx, outer);
             }
             FlushTarget::Radio(mh) => self.radio_deliver(ctx, mh, pkt),
-        }
-    }
-
-    /// Transmits a whole flushed batch toward its target.
-    ///
-    /// Same packets, same order, same per-packet events as a
-    /// [`Datapath::flush_one`] loop — but the route is resolved once per
-    /// batch instead of once per packet: the tunnel arm hoists the
-    /// peer-link lookup (every outer header is addressed to the same
-    /// NAR), and the radio arm hoists the attachment/AP resolution into
-    /// [`send_downlink_batch`].
-    pub(crate) fn flush_batch<S: RadioWorld>(
-        &mut self,
-        ctx: &mut NetCtx<'_, S>,
-        target: FlushTarget,
-        pkts: Vec<Packet>,
-    ) {
-        match target {
-            FlushTarget::Tunnel(nar) => {
-                let link = self.peer_links.get(&nar).copied();
-                let node = self.node;
-                for pkt in pkts {
-                    let outer = pkt.encapsulate(self.addr, nar);
-                    match link {
-                        Some(link) => {
-                            let _ = transmit_on(ctx, link, node, outer);
-                        }
-                        None => {
-                            let _ = send_from(ctx, node, outer);
-                        }
-                    }
-                }
-            }
-            FlushTarget::Radio(mh) => {
-                let attached = ctx.shared.radio().attachment(mh);
-                let ap = match attached {
-                    Some(ap) if self.owns_ap(ap) => ap,
-                    _ => self.aps[0],
-                };
-                send_downlink_batch(ctx, ap, mh, pkts);
-            }
         }
     }
 }

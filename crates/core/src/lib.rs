@@ -10,9 +10,9 @@
 //!   draft, no-buffer FH) and the thesis' tunables (buffer request size,
 //!   BI start-time/lifetime, the best-effort threshold `a`, optional
 //!   handover authentication, optional precise per-class negotiation).
-//! * [`policy`] — the pluggable buffer-policy layer: the [`policy::BufferPolicy`]
-//!   trait, one implementation per scheme family, and Tables 3.2 / 3.3 as
-//!   pure, exhaustively tested functions.
+//! * [`policy`] — the buffer-policy layer: Tables 3.2 / 3.3 as pure,
+//!   exhaustively tested functions ([`policy::matrix`]), served to the
+//!   datapath by [`policy::PolicyEngine`].
 //! * [`BufferPool`] — the per-router handover buffer: all-or-nothing
 //!   grants, two-level admission, real-time drop-front, lifetimes.
 //! * [`ArAgent`] — the access router (PAR + NAR roles), an orchestrator
@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod ar;
 mod buffer;

@@ -1,55 +1,31 @@
 //! The buffer-policy layer: *what* to do with a packet, never *how*.
 //!
 //! This is the bottom layer of the refactored access-router stack
-//! (policy ← datapath ← signaling). A policy is a pure decision table
-//! behind the [`BufferPolicy`] trait: given a packet's class and the
-//! negotiated buffer availability, it answers
+//! (policy ← datapath ← signaling). Every decision comes from one table:
+//! [`matrix`], the transcription of the thesis' Tables 3.2 / 3.3 with the
+//! baselines and the SafetyNet bicast as further rows. [`PolicyEngine`]
+//! wraps a [`Scheme`] and translates those rows into the datapath's
+//! vocabulary:
 //!
 //! * [`BufferPolicy::admit`] — park, forward, tunnel or drop;
 //! * [`BufferPolicy::overflow`] — what to do when the pool rejects a
 //!   packet the policy wanted parked;
-//! * [`BufferPolicy::on_grant`] — how a host's buffer request is split
-//!   between the previous and the new access router;
-//! * [`BufferPolicy::on_flush`] — in which order a parked session drains.
+//! * [`PolicyEngine::on_grant`] — how a host's buffer request is split
+//!   between the previous and the new access router.
 //!
-//! Four schemes implement the trait today — [`NarFifo`] (original
-//! FMIPv6), [`KrishnamurthiSmooth`] (smooth-handover draft),
-//! [`EnhancedDualClass`] (the thesis' Table 3.3 matrix, with and without
-//! classification) and [`SafetyNetBicast`] (vertical-handover bicast with
-//! host-side duplicate suppression) — plus the no-op [`NoBufferPolicy`]
-//! baseline. The
-//! datapath selects one via [`PolicyEngine::for_scheme`], an enum whose
-//! match dispatch compiles away (no vtable on the per-packet hot path).
-//!
-//! Adding a scheme is one file: implement [`BufferPolicy`], add a
-//! [`PolicyEngine`] variant, and map it from a [`Scheme`]. Nothing here
-//! may import signaling, datapath or simulator types — the layering test
-//! (`tests/layering.rs`) keeps this module free of actor concerns, so a
-//! policy stays a table you can read against the thesis.
-//!
-//! The legacy pure functions ([`par_action`], [`nar_action`],
-//! [`nar_overflow`] in [`matrix`]) remain the normative transcription of
-//! Table 3.3; the golden-matrix test pins the trait implementations
-//! against them, exhaustively.
+//! Adding a scheme is a [`Scheme`] variant plus its rows in [`matrix`];
+//! the golden-matrix snapshot (`tests/golden/table_3_3.txt`) then shows
+//! the new surface for review. Nothing here may import signaling,
+//! datapath or simulator types — the layering test (`tests/layering.rs`)
+//! keeps this module a table you can read against the thesis.
 
 #![deny(missing_docs)]
 
 pub mod matrix;
 
-mod enhanced;
-mod krishnamurthi;
-mod nar_fifo;
-mod no_buffer;
-mod safetynet;
-
-pub use enhanced::EnhancedDualClass;
-pub use krishnamurthi::KrishnamurthiSmooth;
 pub use matrix::{
     nar_action, nar_overflow, par_action, AvailabilityCase, NarAction, NarOverflow, ParAction,
 };
-pub use nar_fifo::NarFifo;
-pub use no_buffer::NoBufferPolicy;
-pub use safetynet::SafetyNetBicast;
 
 use fh_net::ServiceClass;
 
@@ -148,8 +124,8 @@ pub struct RequestSplit {
 /// One rung of the overload shed ladder — what the router sacrifices
 /// next once parked bytes cross the high watermark.
 ///
-/// The ladder is *policy-declared* ([`BufferPolicy::shed_ladder`]) so
-/// overload degrades in a chosen order, not an accidental one, and the
+/// Every scheme sheds in the one order of [`ShedRung::ALL`], so overload
+/// degrades in a chosen order, not an accidental one, and the
 /// `shed_order_respected` expectation can audit it after the fact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedRung {
@@ -182,17 +158,7 @@ impl ShedRung {
     }
 }
 
-/// In which order a parked session drains when its flush is released.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushOrder {
-    /// First-in first-out — arrival order, what every current scheme
-    /// uses. The hook exists so a future policy (e.g. SafetyNet-style
-    /// selective delivery) can reorder or filter without touching the
-    /// datapath.
-    Fifo,
-}
-
-/// One buffering scheme's complete decision surface.
+/// One buffering scheme's decision surface.
 ///
 /// Implementations must be pure: same inputs, same verdicts. The
 /// datapath is the only caller on the hot path and executes the returned
@@ -203,43 +169,16 @@ pub trait BufferPolicy {
 
     /// The reaction when the pool rejects a packet this policy parked.
     fn overflow(&self, role: Role, class: ServiceClass) -> Overflow;
-
-    /// Split a host's buffer request between the two routers.
-    fn on_grant(&self, requested: u32) -> RequestSplit;
-
-    /// The drain order for a released session's parked packets.
-    fn on_flush(&self) -> FlushOrder {
-        FlushOrder::Fifo
-    }
-
-    /// The declared shed ladder: under sustained byte pressure the
-    /// datapath tries these rungs strictly in order, moving to the next
-    /// only when the current one has nothing left to give.
-    fn shed_ladder(&self) -> [ShedRung; 3] {
-        ShedRung::ALL
-    }
-}
-
-/// The PAR-side overflow reaction shared by every scheme: a rejected
-/// high-priority packet is spilled to the peer unbuffered (the drop-rate
-/// promise matters most), anything else tail-drops.
-pub(crate) fn par_spill(class: ServiceClass) -> Overflow {
-    match class.effective() {
-        ServiceClass::HighPriority => Overflow::SpillPeer,
-        _ => Overflow::TailDrop,
-    }
 }
 
 /// A policy's verdicts for every service class under one `(role,
-/// session)` snapshot — the unit of work for batch classification.
+/// session)` snapshot.
 ///
 /// Everything in an [`AdmitCtx`] except the packet class is session
-/// state, constant across one flush: the availability case, the peer's
-/// BufferFull flag, the local grant, and the spill threshold. So instead
-/// of dispatching the [`PolicyEngine`] once per packet, a flush asks the
-/// engine once per *batch* ([`PolicyEngine::classify_batch`]) and then
-/// routes each packet through this table with a branch-free index on its
-/// effective class.
+/// state, so one [`PolicyEngine::classify_batch`] call answers for a
+/// whole flush; each packet then indexes this table on its effective
+/// class. Kept for the `fh-perf` policy probe; the datapath asks the
+/// engine per packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassVerdicts {
     admit: [Admit; 3],
@@ -247,156 +186,121 @@ pub struct ClassVerdicts {
 }
 
 impl ClassVerdicts {
-    /// The three effective classes, in index order (`Unspecified`
-    /// collapses onto `BestEffort` before lookup).
-    const CLASSES: [ServiceClass; 3] = [
-        ServiceClass::RealTime,
-        ServiceClass::HighPriority,
-        ServiceClass::BestEffort,
-    ];
-
-    #[inline]
-    fn index(class: ServiceClass) -> usize {
-        match class.effective() {
-            ServiceClass::RealTime => 0,
-            ServiceClass::HighPriority => 1,
-            _ => 2,
-        }
-    }
-
     /// The admission verdict for a packet of `class`.
     #[must_use]
-    #[inline]
     pub fn admit(&self, class: ServiceClass) -> Admit {
-        self.admit[Self::index(class)]
+        self.admit[class.index()]
     }
 
     /// The overflow reaction for a packet of `class`.
     #[must_use]
-    #[inline]
     pub fn overflow(&self, class: ServiceClass) -> Overflow {
-        self.overflow[Self::index(class)]
+        self.overflow[class.index()]
     }
 }
 
-/// Evaluates one concrete policy for every class. Generic so each
-/// [`PolicyEngine`] arm monomorphizes with the policy's `admit` /
-/// `overflow` inlined — one outer dispatch, straight-line table fill.
-fn classify_with<P: BufferPolicy>(policy: &P, role: Role, ctx: &AdmitCtx) -> ClassVerdicts {
-    let mut admit = [Admit::Drop; 3];
-    let mut overflow = [Overflow::TailDrop; 3];
-    for (i, class) in ClassVerdicts::CLASSES.into_iter().enumerate() {
-        admit[i] = policy.admit(role, &AdmitCtx { class, ..*ctx });
-        overflow[i] = policy.overflow(role, class);
-    }
-    ClassVerdicts { admit, overflow }
-}
-
-/// Zero-cost dispatcher over the built-in policies.
-///
-/// An enum rather than `dyn BufferPolicy` so the per-packet hot path is
-/// a jump table the optimizer can inline through (the `datapath` bench
-/// pins the enum-vs-`dyn` gap).
+/// The policy engine: Table 3.3 ([`matrix`]) for one [`Scheme`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyEngine {
-    /// Fast handover without buffering (`FH`).
-    NoBuffer(NoBufferPolicy),
-    /// Original FMIPv6 NAR-only buffering (`NAR`).
-    NarFifo(NarFifo),
-    /// Smooth-handover PAR-only buffering (`PAR`).
-    Krishnamurthi(KrishnamurthiSmooth),
-    /// The thesis' dual-router scheme (`DUAL` / `DUAL+class`).
-    Enhanced(EnhancedDualClass),
-    /// SafetyNet bicast for vertical handovers (`SAFETY`).
-    SafetyNet(SafetyNetBicast),
+pub struct PolicyEngine {
+    scheme: Scheme,
 }
 
 impl PolicyEngine {
     /// The policy implementing a [`Scheme`].
     #[must_use]
     pub fn for_scheme(scheme: Scheme) -> Self {
-        match scheme {
-            Scheme::NoBuffer => PolicyEngine::NoBuffer(NoBufferPolicy),
-            Scheme::NarOnly => PolicyEngine::NarFifo(NarFifo),
-            Scheme::ParOnly => PolicyEngine::Krishnamurthi(KrishnamurthiSmooth),
-            Scheme::Dual { classify } => PolicyEngine::Enhanced(EnhancedDualClass { classify }),
-            Scheme::SafetyNet => PolicyEngine::SafetyNet(SafetyNetBicast),
+        PolicyEngine { scheme }
+    }
+
+    /// Splits a host's buffer request between the two routers: a scheme
+    /// that buffers at both asks each for half (§3.1.2 "maximize buffer
+    /// utilization", the PAR taking the odd slot); a single-router
+    /// scheme puts everything on its router.
+    #[must_use]
+    pub fn on_grant(self, requested: u32) -> RequestSplit {
+        match (self.scheme.uses_par_buffer(), self.scheme.uses_nar_buffer()) {
+            (true, true) => RequestSplit {
+                par: requested.div_ceil(2),
+                nar: requested / 2,
+            },
+            (true, false) => RequestSplit {
+                par: requested,
+                nar: 0,
+            },
+            (false, true) => RequestSplit {
+                par: 0,
+                nar: requested,
+            },
+            (false, false) => RequestSplit { par: 0, nar: 0 },
         }
     }
 
-    /// Precomputes the verdicts for every class in one dispatch.
+    /// The verdicts for every class under one session snapshot.
     ///
-    /// `ctx.class` is ignored — the returned [`ClassVerdicts`] covers all
-    /// classes; the other `AdmitCtx` fields must hold for the whole
-    /// batch. Equivalent, class by class, to calling
+    /// `ctx.class` is ignored; the other `AdmitCtx` fields must hold for
+    /// the whole batch. Equivalent, class by class, to calling
     /// [`BufferPolicy::admit`] / [`BufferPolicy::overflow`] per packet
     /// (pinned by the `classify_batch_matches_per_packet_dispatch` test).
     #[must_use]
-    #[inline]
     pub fn classify_batch(&self, role: Role, ctx: &AdmitCtx) -> ClassVerdicts {
-        match self {
-            PolicyEngine::NoBuffer(p) => classify_with(p, role, ctx),
-            PolicyEngine::NarFifo(p) => classify_with(p, role, ctx),
-            PolicyEngine::Krishnamurthi(p) => classify_with(p, role, ctx),
-            PolicyEngine::Enhanced(p) => classify_with(p, role, ctx),
-            PolicyEngine::SafetyNet(p) => classify_with(p, role, ctx),
+        ClassVerdicts {
+            admit: ServiceClass::EFFECTIVE
+                .map(|class| self.admit(role, &AdmitCtx { class, ..*ctx })),
+            overflow: ServiceClass::EFFECTIVE.map(|class| self.overflow(role, class)),
+        }
+    }
+
+    /// The admission limit of a PAR-side park: a classifying scheme
+    /// holds best effort to the spill threshold `a` and everything else
+    /// to the grant; a class-blind scheme uses the grant when it has one
+    /// and otherwise whatever the pool will take.
+    fn par_limit(self, ctx: &AdmitCtx) -> AdmissionLimit {
+        if self.scheme.classifies() {
+            if ctx.class.effective() == ServiceClass::BestEffort {
+                AdmissionLimit::Threshold(ctx.threshold_a)
+            } else {
+                AdmissionLimit::Grant
+            }
+        } else if ctx.par_granted {
+            AdmissionLimit::Grant
+        } else {
+            AdmissionLimit::PoolOnly
         }
     }
 }
 
 impl BufferPolicy for PolicyEngine {
-    #[inline]
     fn admit(&self, role: Role, ctx: &AdmitCtx) -> Admit {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.admit(role, ctx),
-            PolicyEngine::NarFifo(p) => p.admit(role, ctx),
-            PolicyEngine::Krishnamurthi(p) => p.admit(role, ctx),
-            PolicyEngine::Enhanced(p) => p.admit(role, ctx),
-            PolicyEngine::SafetyNet(p) => p.admit(role, ctx),
+        match role {
+            Role::Par => match par_action(self.scheme, ctx.case, ctx.class, ctx.nar_full) {
+                ParAction::TunnelBuffer => Admit::Tunnel { park_at_peer: true },
+                ParAction::TunnelUnbuffered => Admit::Tunnel {
+                    park_at_peer: false,
+                },
+                ParAction::BufferLocal => Admit::Park(self.par_limit(ctx)),
+                ParAction::Drop => Admit::Drop,
+                ParAction::Bicast => Admit::Multicast,
+            },
+            // The NAR always parks under the session grant.
+            Role::Nar => match nar_action(self.scheme, ctx.case, ctx.class) {
+                NarAction::Buffer => Admit::Park(AdmissionLimit::Grant),
+                NarAction::Deliver => Admit::Forward,
+            },
         }
     }
 
-    #[inline]
     fn overflow(&self, role: Role, class: ServiceClass) -> Overflow {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.overflow(role, class),
-            PolicyEngine::NarFifo(p) => p.overflow(role, class),
-            PolicyEngine::Krishnamurthi(p) => p.overflow(role, class),
-            PolicyEngine::Enhanced(p) => p.overflow(role, class),
-            PolicyEngine::SafetyNet(p) => p.overflow(role, class),
-        }
-    }
-
-    #[inline]
-    fn on_grant(&self, requested: u32) -> RequestSplit {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.on_grant(requested),
-            PolicyEngine::NarFifo(p) => p.on_grant(requested),
-            PolicyEngine::Krishnamurthi(p) => p.on_grant(requested),
-            PolicyEngine::Enhanced(p) => p.on_grant(requested),
-            PolicyEngine::SafetyNet(p) => p.on_grant(requested),
-        }
-    }
-
-    #[inline]
-    fn on_flush(&self) -> FlushOrder {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.on_flush(),
-            PolicyEngine::NarFifo(p) => p.on_flush(),
-            PolicyEngine::Krishnamurthi(p) => p.on_flush(),
-            PolicyEngine::Enhanced(p) => p.on_flush(),
-            PolicyEngine::SafetyNet(p) => p.on_flush(),
-        }
-    }
-
-    #[inline]
-    fn shed_ladder(&self) -> [ShedRung; 3] {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.shed_ladder(),
-            PolicyEngine::NarFifo(p) => p.shed_ladder(),
-            PolicyEngine::Krishnamurthi(p) => p.shed_ladder(),
-            PolicyEngine::Enhanced(p) => p.shed_ladder(),
-            PolicyEngine::SafetyNet(p) => p.shed_ladder(),
+        match role {
+            // Every scheme: a rejected high-priority packet is spilled to
+            // the peer unbuffered (the drop-rate promise matters most),
+            // anything else tail-drops.
+            Role::Par if class.effective() == ServiceClass::HighPriority => Overflow::SpillPeer,
+            Role::Par => Overflow::TailDrop,
+            Role::Nar => match nar_overflow(self.scheme, class) {
+                NarOverflow::DropOldestRealtime => Overflow::DropFrontRealtime,
+                NarOverflow::NotifyPar => Overflow::NotifyPeer,
+                NarOverflow::TailDrop => Overflow::TailDrop,
+            },
         }
     }
 }
@@ -418,17 +322,6 @@ mod tests {
             AvailabilityCase::ParOnly,
             AvailabilityCase::NoneAvailable,
         ];
-        // Every scheme declares a complete ladder: each rung exactly once.
-        for engine in engines {
-            let ladder = engine.shed_ladder();
-            for rung in ShedRung::ALL {
-                assert_eq!(
-                    ladder.iter().filter(|&&r| r == rung).count(),
-                    1,
-                    "{engine:?} ladder {ladder:?} misdeclares {rung:?}"
-                );
-            }
-        }
         for engine in engines {
             for role in [Role::Par, Role::Nar] {
                 for case in cases {

@@ -19,7 +19,7 @@ use fh_wireless::RadioWorld;
 use crate::ar::ArAgent;
 use crate::datapath::FlushTarget;
 use crate::metrics::case_index;
-use crate::policy::{AvailabilityCase, BufferPolicy, PolicyEngine};
+use crate::policy::{AvailabilityCase, PolicyEngine};
 
 /// The PAR-role session lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

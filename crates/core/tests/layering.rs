@@ -58,5 +58,8 @@ fn policy_layer_depends_only_on_netstack_types() {
         }
         checked += 1;
     }
-    assert!(checked >= 6, "expected the six policy files, saw {checked}");
+    assert!(
+        checked >= 2,
+        "expected mod.rs and matrix.rs under src/policy, saw {checked}"
+    );
 }

@@ -23,13 +23,6 @@ use fh_sim::{derive_domain_seed, LaneQueue, Outbox, Rng64, ShardState, SimDurati
 
 use crate::MetroConfig;
 
-/// Flow classes in F1–F3 order, shared with the scenario layer.
-pub const CLASSES: [ServiceClass; 3] = [
-    ServiceClass::RealTime,
-    ServiceClass::HighPriority,
-    ServiceClass::BestEffort,
-];
-
 /// Short class labels for artifact columns, in F1–F3 order.
 pub const CLASS_LABELS: [&str; 3] = ["rt", "hp", "be"];
 
@@ -339,7 +332,7 @@ impl Domain {
         }
         // Full. The class-aware matrix sacrifices the oldest parked
         // best-effort packet to admit real-time / high-priority traffic.
-        if self.cfg.scheme.classifies() && CLASSES[k] != ServiceClass::BestEffort {
+        if self.cfg.scheme.classifies() && ServiceClass::EFFECTIVE[k] != ServiceClass::BestEffort {
             let be_pos = self.buffer[slot].iter().position(|&h| {
                 self.pool
                     .slot(h)
@@ -363,7 +356,7 @@ impl Domain {
             seq,
             doc_subnet(self.cfg.source_domain(host) as u16).host(u64::from(host) + 1),
             doc_subnet(self.index as u16).host(u64::from(host) + 1),
-            CLASSES[class as usize],
+            ServiceClass::EFFECTIVE[class as usize],
             self.cfg.packet_bytes,
             created,
         );
@@ -444,10 +437,7 @@ impl Domain {
                 let mut i = 0u64;
                 while let Some(handle) = self.buffer[slot].pop_front() {
                     let pkt = self.pool.remove(handle).expect("parked handle is live");
-                    let class = CLASSES
-                        .iter()
-                        .position(|&c| c == pkt.effective_class())
-                        .unwrap_or(2) as u8;
+                    let class = pkt.class.index() as u8;
                     let t = self.now + extra + self.cfg.flush_spacing * i;
                     self.queue.push(
                         t,
@@ -486,10 +476,7 @@ impl Domain {
         for buffer in &mut self.buffer {
             while let Some(handle) = buffer.pop_front() {
                 let pkt = self.pool.remove(handle).expect("parked handle is live");
-                let k = CLASSES
-                    .iter()
-                    .position(|&c| c == pkt.effective_class())
-                    .unwrap_or(2);
+                let k = pkt.class.index();
                 self.counts.dropped_horizon[k] += 1;
             }
         }

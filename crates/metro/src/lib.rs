@@ -41,7 +41,7 @@ use fh_sim::stats::Histogram;
 use fh_sim::{derive_seed, SimDuration, SimTime};
 use fh_telemetry::{Cell, CsvTable, MetricsRegistry};
 
-pub use domain::{ClassCounts, CrossPacket, Domain, CLASSES, CLASS_LABELS};
+pub use domain::{ClassCounts, CrossPacket, Domain, CLASS_LABELS};
 
 /// Everything a metro run needs, with the paper-informed defaults the
 /// scenario layer overrides from `[topology.domains]`.

@@ -60,6 +60,15 @@ impl ServiceClass {
         ServiceClass::BestEffort,
     ];
 
+    /// The three classes the buffer manager tells apart, in
+    /// [`ServiceClass::index`] order: real time, high priority, best
+    /// effort (also the F1–F3 flow order of §4.2).
+    pub const EFFECTIVE: [ServiceClass; 3] = [
+        ServiceClass::RealTime,
+        ServiceClass::HighPriority,
+        ServiceClass::BestEffort,
+    ];
+
     /// Decodes the IPv6 class-of-service field (Table 3.1). Unknown values
     /// decode to [`ServiceClass::Unspecified`].
     #[must_use]
@@ -90,6 +99,18 @@ impl ServiceClass {
         match self {
             ServiceClass::Unspecified => ServiceClass::BestEffort,
             other => other,
+        }
+    }
+
+    /// Index of the effective class into per-class arrays: RT = 0, HP = 1,
+    /// BE = 2, with `Unspecified` counted as best effort — the position
+    /// of [`ServiceClass::effective`] in [`ServiceClass::EFFECTIVE`].
+    #[must_use]
+    pub fn index(self) -> usize {
+        match self {
+            ServiceClass::RealTime => 0,
+            ServiceClass::HighPriority => 1,
+            ServiceClass::Unspecified | ServiceClass::BestEffort => 2,
         }
     }
 
@@ -196,6 +217,13 @@ mod tests {
             ServiceClass::HighPriority.effective(),
             ServiceClass::HighPriority
         );
+    }
+
+    #[test]
+    fn index_is_the_position_of_the_effective_class() {
+        for class in ServiceClass::ALL {
+            assert_eq!(ServiceClass::EFFECTIVE[class.index()], class.effective());
+        }
     }
 
     #[test]

@@ -27,13 +27,6 @@ use crate::plan::{corpus_plan, run_plan, Axis, PlanOutcome, PointRun};
 use crate::sweep::parallel_map;
 use crate::wlan::{WlanConfig, WlanScenario};
 
-/// Classes of the three flows F1/F2/F3 used throughout §4.2.
-pub const FLOW_CLASSES: [ServiceClass; 3] = [
-    ServiceClass::RealTime,     // F1
-    ServiceClass::HighPriority, // F2
-    ServiceClass::BestEffort,   // F3
-];
-
 // ---------------------------------------------------------------------
 // Fig 4.2 — buffer utilization
 // ---------------------------------------------------------------------
@@ -193,7 +186,7 @@ pub fn qos_drops(
         ..HmipConfig::default()
     };
     let mut scenario = HmipScenario::build(cfg);
-    let flows: Vec<FlowId> = FLOW_CLASSES
+    let flows: Vec<FlowId> = ServiceClass::EFFECTIVE
         .iter()
         .map(|&class| scenario.add_audio_128k(0, class))
         .collect();
@@ -270,7 +263,7 @@ pub fn rate_sweep(
         let mut scenario = HmipScenario::build(cfg);
         let bits_per_pkt = 160.0 * 8.0;
         let interval = SimDuration::from_secs_f64(bits_per_pkt / (rate * 1000.0));
-        let flows: Vec<FlowId> = FLOW_CLASSES
+        let flows: Vec<FlowId> = ServiceClass::EFFECTIVE
             .iter()
             .map(|&class| scenario.add_cbr_flow(0, class, 160, interval))
             .collect();
@@ -332,7 +325,7 @@ pub fn delay_trace(
         ..HmipConfig::default()
     };
     let mut scenario = HmipScenario::build(cfg);
-    let flows: Vec<FlowId> = FLOW_CLASSES
+    let flows: Vec<FlowId> = ServiceClass::EFFECTIVE
         .iter()
         .map(|&class| scenario.add_audio_128k(0, class))
         .collect();
@@ -510,7 +503,7 @@ pub fn threshold_sweep(thresholds: &[u32], seed: u64, threads: usize) -> Thresho
             ..HmipConfig::default()
         };
         let mut scenario = HmipScenario::build(cfg);
-        let flows: Vec<FlowId> = FLOW_CLASSES
+        let flows: Vec<FlowId> = ServiceClass::EFFECTIVE
             .iter()
             .map(|&class| scenario.add_audio_128k(0, class))
             .collect();
@@ -580,7 +573,7 @@ pub fn blackout_sweep(blackout_ms: &[u64], seed: u64, threads: usize) -> Blackou
             ..HmipConfig::default()
         };
         let mut scenario = HmipScenario::build(cfg);
-        let flows: Vec<FlowId> = FLOW_CLASSES
+        let flows: Vec<FlowId> = ServiceClass::EFFECTIVE
             .iter()
             .map(|&class| scenario.add_audio_64k(0, class))
             .collect();

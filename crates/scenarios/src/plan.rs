@@ -28,7 +28,6 @@ use fh_sim::{derive_seed, Rng64, SimDuration, SimTime};
 use fh_telemetry::{Cell, ChromeTrace, CsvTable, FailureReport};
 
 use crate::expectations::{Expectations, PointAudit};
-use crate::experiments::FLOW_CLASSES;
 use crate::hmip::{CellularConfig, HmipConfig, HmipScenario, MovementPlan, Recording};
 use crate::sweep::parallel_map;
 use fh_wireless::TriggerMode;
@@ -187,7 +186,7 @@ pub enum HostSelector {
 pub enum ClassPlan {
     /// Every flow carries this class.
     Fixed(ServiceClass),
-    /// Host `i` gets `FLOW_CLASSES[i % 3]` (the storm convention).
+    /// Host `i` gets `ServiceClass::EFFECTIVE[i % 3]` (the storm convention).
     RoundRobin,
 }
 
@@ -524,12 +523,9 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint) -> (PointRun, Option<Recording
         for h in hosts {
             let class = match w.class {
                 ClassPlan::Fixed(c) => c,
-                ClassPlan::RoundRobin => FLOW_CLASSES[h % 3],
+                ClassPlan::RoundRobin => ServiceClass::EFFECTIVE[h % 3],
             };
-            let k = FLOW_CLASSES
-                .iter()
-                .position(|&c| c == class.effective())
-                .unwrap_or(2);
+            let k = class.index();
             let flow = scenario.add_cbr_flow(h, class, w.packet_bytes, w.interval);
             flows.push((k, flow));
         }

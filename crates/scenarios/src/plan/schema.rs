@@ -157,7 +157,7 @@ const KEYS: &[Key] = &[
             .or((i == ServiceClass::ALL.len()).then_some("round-robin")),
         |d, i| d.workload().class = Some(ServiceClass::ALL.get(i)
             .map_or(ClassPlan::RoundRobin, |&c| ClassPlan::Fixed(c)))),
-        "round-robin: FLOW_CLASSES by host"),
+        "round-robin: RT, HP, BE by host"),
     key("workload.packet_bytes", Int(1, U32, |d, i| d.workload().packet_bytes = Some(i as u32)),
         "default 160"),
     key("workload.interval_ms", PositiveMs(|d, t| d.workload().interval = Some(t)), "this or kbps"),

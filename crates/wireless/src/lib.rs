@@ -37,9 +37,6 @@ mod tech;
 pub use l2::{MhRadio, RadioConfig, TriggerMode};
 pub use mih::{MihConfig, MihEngine, MihEvent};
 pub use position::{Mobility, Position};
-pub use radio::{
-    send_downlink, send_downlink_batch, send_uplink, AccessPoint, RadioEnv, RadioWorld,
-    WirelessSpec,
-};
+pub use radio::{send_downlink, send_uplink, AccessPoint, RadioEnv, RadioWorld, WirelessSpec};
 pub use signal::SignalModel;
 pub use tech::{IfaceId, RadioTechnology};

@@ -437,74 +437,6 @@ pub fn send_downlink<S: RadioWorld>(
     true
 }
 
-/// Sends a whole batch of frames from `ap` down to `mh` — the buffer-flush
-/// drain path. Returns the number of frames that made it onto the channel.
-///
-/// Behaviorally identical to calling [`send_downlink`] once per packet, in
-/// order: every frame still gets its own fault decision, airtime
-/// reservation and arrival event (a flush must serialize on the channel,
-/// not arrive as an impossible burst), and a detached host still loses
-/// every frame individually. Only the attachment check and the AP→router
-/// lookup are amortized across the batch — nothing between two frames of
-/// one batch can change them, since no other actor runs in between.
-pub fn send_downlink_batch<S: RadioWorld>(
-    ctx: &mut NetCtx<'_, S>,
-    ap: ApId,
-    mh: NodeId,
-    pkts: Vec<Packet>,
-) -> usize {
-    if pkts.is_empty() {
-        return 0;
-    }
-    if !ctx.shared.radio().is_attached(mh, ap) {
-        for pkt in &pkts {
-            fh_net::record_drop(ctx, pkt.flow, DropReason::RadioDetached);
-        }
-        return 0;
-    }
-    let router = ctx.shared.radio().ap(ap).router;
-    let now = ctx.now();
-    let mut sent = 0;
-    for pkt in pkts {
-        let (extra_delay, duplicate) = match ctx.shared.radio_mut().fault_decision(now, ap) {
-            FaultVerdict::Drop => {
-                fh_net::record_drop(ctx, pkt.flow, DropReason::FaultInjected);
-                continue;
-            }
-            FaultVerdict::Pass {
-                extra_delay,
-                duplicate,
-            } => (extra_delay, duplicate),
-        };
-        let arrival = ctx.shared.radio_mut().reserve_airtime(now, ap, pkt.size) + extra_delay;
-        if duplicate {
-            let dup_arrival =
-                ctx.shared.radio_mut().reserve_airtime(now, ap, pkt.size) + extra_delay;
-            ctx.shared.stats_mut().record_duplicate(pkt.flow);
-            ctx.send_at(
-                mh,
-                dup_arrival,
-                NetMsg::RadioPacket {
-                    ap,
-                    from: router,
-                    pkt: pkt.clone(),
-                },
-            );
-        }
-        ctx.send_at(
-            mh,
-            arrival,
-            NetMsg::RadioPacket {
-                ap,
-                from: router,
-                pkt,
-            },
-        );
-        sent += 1;
-    }
-    sent
-}
-
 /// Sends `pkt` from mobile host `mh` up to its current AP's router.
 ///
 /// Returns `false` (recording the drop) if the host is detached.
@@ -859,80 +791,6 @@ mod tests {
         let got = &sim.actor::<Sink>(mh).unwrap().got;
         assert_eq!(got.len(), 2, "original + duplicate");
         assert!(got[0].0 < got[1].0, "copies serialize back to back");
-    }
-
-    #[test]
-    fn batched_downlink_matches_per_packet_loop() {
-        // Same seed, same traffic, one world drains with a send_downlink
-        // loop and the other with send_downlink_batch: every arrival
-        // instant, seq, duplicate, and drop must be identical.
-        fn run(batched: bool) -> (Vec<(SimTime, u64)>, u64, u64) {
-            let mut sim = world();
-            let ar = sim.add_actor(Box::new(Sink { got: vec![] }));
-            let mh = sim.add_actor(Box::new(Sink { got: vec![] }));
-            let ap = sim.shared.radio.add_ap(ar, Position::default(), 100.0);
-            sim.shared.radio.attach(mh, ap);
-            sim.shared
-                .radio
-                .set_fault(ap, FaultSpec::with_loss(0.25).duplicate(0.25), 21);
-
-            struct Driver {
-                ap: ApId,
-                mh: NodeId,
-                batched: bool,
-            }
-            impl Actor<NetMsg, World> for Driver {
-                fn handle(&mut self, ctx: &mut NetCtx<'_, World>, msg: NetMsg) {
-                    if let NetMsg::Start = msg {
-                        let pkts: Vec<Packet> = (0..32).map(pkt).collect();
-                        if self.batched {
-                            send_downlink_batch(ctx, self.ap, self.mh, pkts);
-                        } else {
-                            for p in pkts {
-                                send_downlink(ctx, self.ap, self.mh, p);
-                            }
-                        }
-                    }
-                }
-            }
-            let d = sim.add_actor(Box::new(Driver { ap, mh, batched }));
-            sim.schedule(SimTime::ZERO, d, NetMsg::Start);
-            sim.run();
-            let got = sim.actor::<Sink>(mh).unwrap().got.clone();
-            let dropped = sim.shared.stats.drops(DropReason::FaultInjected);
-            let dups = sim.shared.stats.flow_audit(fh_net::FlowId(1)).duplicated;
-            (got, dropped, dups)
-        }
-        let looped = run(false);
-        let batched = run(true);
-        assert_eq!(batched, looped);
-        assert!(!batched.0.is_empty(), "fault mix should let frames through");
-    }
-
-    #[test]
-    fn batched_downlink_to_detached_host_drops_each_frame() {
-        let mut sim = world();
-        let ar = sim.add_actor(Box::new(Sink { got: vec![] }));
-        let mh = sim.add_actor(Box::new(Sink { got: vec![] }));
-        let ap = sim.shared.radio.add_ap(ar, Position::default(), 100.0);
-
-        struct Driver {
-            ap: ApId,
-            mh: NodeId,
-        }
-        impl Actor<NetMsg, World> for Driver {
-            fn handle(&mut self, ctx: &mut NetCtx<'_, World>, msg: NetMsg) {
-                if let NetMsg::Start = msg {
-                    let pkts: Vec<Packet> = (0..5).map(pkt).collect();
-                    assert_eq!(send_downlink_batch(ctx, self.ap, self.mh, pkts), 0);
-                }
-            }
-        }
-        let d = sim.add_actor(Box::new(Driver { ap, mh }));
-        sim.schedule(SimTime::ZERO, d, NetMsg::Start);
-        sim.run();
-        assert!(sim.actor::<Sink>(mh).unwrap().got.is_empty());
-        assert_eq!(sim.shared.stats.drops(DropReason::RadioDetached), 5);
     }
 
     #[test]
