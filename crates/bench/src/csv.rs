@@ -198,16 +198,6 @@ pub const CSV_WRITERS: [(&str, CsvFn); 12] = [
     ("storm", storm_csv),
 ];
 
-/// Renders the series of one [`CSV_WRITERS`] entry, `None` for any other
-/// name.
-#[must_use]
-pub fn csv_for(figure: &str, threads: usize) -> Option<String> {
-    CSV_WRITERS
-        .iter()
-        .find(|(name, _)| *name == figure)
-        .map(|(_, write)| write(threads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,11 +210,5 @@ mod tests {
         let first = lines.next().expect("data row");
         assert_eq!(first.split(',').count(), 5);
         assert_eq!(csv.lines().count(), 21, "header + 20 rows");
-    }
-
-    #[test]
-    fn unknown_figure_yields_none() {
-        assert!(csv_for("fig9.9", 1).is_none());
-        assert!(csv_for("fig4.2", 2).is_some());
     }
 }

@@ -188,13 +188,6 @@ impl ArAgent {
         v
     }
 
-    /// Mirrors this router's activity counters into the shared stats
-    /// registry under `ar.*` names, aggregating across routers. Scenarios
-    /// call this once at end of run.
-    pub fn export_metrics(&self, stats: &mut fh_net::NetStats) {
-        self.metrics.export(stats);
-    }
-
     /// `true` if `ap` belongs to this router.
     #[must_use]
     pub fn owns_ap(&self, ap: ApId) -> bool {

@@ -50,30 +50,6 @@ pub struct ArMetrics {
     pub case_counts: [u64; 4],
 }
 
-impl ArMetrics {
-    /// Adds these counters into the shared stats registry under `ar.*`
-    /// names (aggregating when called for several routers).
-    pub fn export(&self, stats: &mut fh_net::NetStats) {
-        stats.bump("ar.par_sessions", self.par_sessions);
-        stats.bump("ar.nar_sessions", self.nar_sessions);
-        stats.bump("ar.intra_sessions", self.intra_sessions);
-        stats.bump("ar.buffer_full_sent", self.buffer_full_sent);
-        stats.bump("ar.flushes", self.flushes);
-        stats.bump("ar.expired_sessions", self.expired_sessions);
-        stats.bump("ar.auth_rejections", self.auth_rejections);
-        stats.bump("ar.guard_sessions", self.guard_sessions);
-        stats.bump("ar.retransmissions", 0);
-        stats.bump("ar.hi_exhausted", 0);
-        stats.bump("ar.guard_expired", self.guard_expired);
-        stats.bump("ar.crashes", self.crashes);
-        stats.bump("ar.routes_expired", self.routes_expired);
-        stats.bump("ar.dead_peer_reclaims", self.dead_peer_reclaims);
-        stats.bump("ar.pressure_sheds", self.pressure_sheds);
-        stats.bump("ar.watchdog_fired", self.watchdog_fired);
-        stats.bump("ar.shed_order_violations", self.shed_order_violations);
-    }
-}
-
 /// Index of an [`AvailabilityCase`] into [`ArMetrics::case_counts`].
 pub(crate) fn case_index(case: AvailabilityCase) -> usize {
     match case {

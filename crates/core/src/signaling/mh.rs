@@ -756,7 +756,6 @@ impl MhAgent {
             self.state = MhState::Idle;
             self.degradations += 1;
             self.phase(ctx, HandoffPhase::Degraded);
-            ctx.shared.stats_mut().bump("mh.degradations", 1);
             return;
         }
         let Some(att) = self.current else { return };
@@ -772,7 +771,6 @@ impl MhAgent {
         };
         self.send_control_up(ctx, pcoa, att.router, msg);
         self.retransmissions += 1;
-        ctx.shared.stats_mut().bump("mh.retransmissions", 1);
         let node = self.node;
         fh_net::record_trace(ctx, || fh_net::TraceEvent::ControlRetransmit {
             kind: "RtSolPr",
@@ -807,7 +805,6 @@ impl MhAgent {
             self.current = None;
             self.degradations += 1;
             self.phase(ctx, HandoffPhase::Degraded);
-            ctx.shared.stats_mut().bump("mh.degradations", 1);
             return;
         }
         let fna = ControlMsg::FastNeighborAdvertisement {
@@ -822,7 +819,6 @@ impl MhAgent {
         let node = self.node;
         let _ = send_uplink(ctx, node, bu);
         self.retransmissions += 1;
-        ctx.shared.stats_mut().bump("mh.retransmissions", 1);
         fh_net::record_trace(ctx, || fh_net::TraceEvent::ControlRetransmit {
             kind: "FNA",
             by: node,

@@ -378,14 +378,12 @@ impl ArAgent {
                 self.metrics.case_counts[case_index(sess.case)] += 1;
             }
             self.metrics.hi_exhausted += 1;
-            ctx.shared.stats_mut().bump("ar.hi_exhausted", 1);
             self.send_prrtadv_for(ctx, pcoa);
             return;
         }
         let hi = rtx.hi.clone();
         self.dp.send_control_wired(ctx, rtx.nar_addr, hi);
         self.metrics.retransmissions += 1;
-        ctx.shared.stats_mut().bump("ar.retransmissions", 1);
         let node = self.dp.node;
         fh_net::record_trace(ctx, || fh_net::TraceEvent::ControlRetransmit {
             kind: "HI",

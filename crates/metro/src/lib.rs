@@ -7,8 +7,8 @@
 //! one simulation by MAP domain — each [`domain::Domain`] owns its own
 //! event set, RNG lineage ([`fh_sim::derive_domain_seed`]), packet
 //! pool and counters — and advances all domains in lock-stepped epochs
-//! under [`fh_sim::shard::run_epochs`], with the fixed latency of the
-//! inter-MAP [`fh_net::BoundaryLink`]s as the conservative lookahead.
+//! under [`fh_sim::shard::run_epochs`], with the fixed inter-MAP
+//! [`MetroConfig::boundary_latency`] as the conservative lookahead.
 //!
 //! The result is the repo's first *intra-run* parallelism, under the
 //! same contract as everything else: **byte-identical output at any
@@ -29,13 +29,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod domain;
 
 use std::time::Duration;
 
 use fh_core::Scheme;
-use fh_net::BoundaryFabric;
 use fh_sim::shard::{run_epochs, EpochReport};
 use fh_sim::stats::Histogram;
 use fh_sim::{derive_seed, SimDuration, SimTime};
@@ -52,8 +52,8 @@ pub struct MetroConfig {
     pub domains: u32,
     /// Total mobile hosts, homed round-robin across domains.
     pub hosts: u32,
-    /// One-way latency of every inter-MAP boundary link. Its minimum is
-    /// the conservative lookahead; must be positive when `domains > 1`.
+    /// One-way latency of every inter-MAP boundary link. It is the
+    /// conservative lookahead, so it must be positive when `domains > 1`.
     pub boundary_latency: SimDuration,
     /// Fraction of hosts whose correspondent lives in another domain
     /// (their traffic crosses a boundary).
@@ -154,16 +154,6 @@ impl MetroConfig {
         }
         let spread = derive_seed(0x434F_5252, u64::from(host)) % u64::from(self.domains - 1);
         (home + 1 + spread as u32) % self.domains
-    }
-
-    /// The boundary fabric this deployment implies: a full mesh over
-    /// the domains at the configured latency (empty for one domain).
-    #[must_use]
-    pub fn fabric(&self) -> BoundaryFabric {
-        if self.domains < 2 {
-            return BoundaryFabric::new();
-        }
-        BoundaryFabric::full_mesh(self.domains, self.boundary_latency)
     }
 }
 

@@ -16,8 +16,7 @@ use std::net::Ipv6Addr;
 
 use fh_net::{
     msg::{AckStatus, BindingKind},
-    send_control, send_from, ControlMsg, CounterId, DropReason, NetCtx, NetWorld, NodeId, Packet,
-    Prefix,
+    send_control, send_from, ControlMsg, DropReason, NetCtx, NetWorld, NodeId, Packet, Prefix,
 };
 
 use crate::binding::BindingCache;
@@ -38,10 +37,6 @@ pub struct MobilityAnchor {
     pub tunneled: u64,
     /// Packets for the prefix that had no live binding.
     pub intercept_failures: u64,
-    /// Handles of the two counters mirrored into the shared stats registry,
-    /// registered on first use so end-of-run reports list only what ran.
-    tunneled_id: Option<CounterId>,
-    failures_id: Option<CounterId>,
 }
 
 impl MobilityAnchor {
@@ -71,8 +66,6 @@ impl MobilityAnchor {
             cache: BindingCache::new(),
             tunneled: 0,
             intercept_failures: 0,
-            tunneled_id: None,
-            failures_id: None,
         }
     }
 
@@ -80,15 +73,6 @@ impl MobilityAnchor {
     #[must_use]
     pub fn kind(&self) -> BindingKind {
         self.kind
-    }
-
-    /// This anchor's `(tunneled, intercept_failures)` names in the shared
-    /// stats registry.
-    fn counter_names(&self) -> (&'static str, &'static str) {
-        match self.kind {
-            BindingKind::Map => ("map.tunneled", "map.intercept_failures"),
-            _ => ("ha.tunneled", "ha.intercept_failures"),
-        }
     }
 
     /// Processes a packet that routing delivered to this anchor's node.
@@ -130,16 +114,6 @@ impl MobilityAnchor {
             if let Some(coa) = self.cache.lookup(pkt.dst, now) {
                 let outer = pkt.encapsulate(self.addr, coa);
                 self.tunneled += 1;
-                let (tunneled_name, failures_name) = self.counter_names();
-                let metrics = ctx.shared.stats_mut().metrics_mut();
-                // The failure counter registers with the first tunneled
-                // packet, so reports list it even when failures never happen.
-                self.failures_id
-                    .get_or_insert_with(|| metrics.counter(failures_name));
-                let id = *self
-                    .tunneled_id
-                    .get_or_insert_with(|| metrics.counter(tunneled_name));
-                metrics.inc(id);
                 let node = self.node;
                 if let Some(returned) = send_from(ctx, node, outer) {
                     // The CoA routes back to this very node (the MH is at
@@ -149,12 +123,6 @@ impl MobilityAnchor {
                 return None;
             }
             self.intercept_failures += 1;
-            let failures_name = self.counter_names().1;
-            let metrics = ctx.shared.stats_mut().metrics_mut();
-            let id = *self
-                .failures_id
-                .get_or_insert_with(|| metrics.counter(failures_name));
-            metrics.inc(id);
             fh_net::record_drop(ctx, pkt.flow, DropReason::Unroutable);
             return None;
         }
@@ -235,10 +203,6 @@ mod tests {
     }
 
     fn build() -> Net {
-        build_with(MobilityAnchor::map)
-    }
-
-    fn build_with(make: fn(NodeId, Ipv6Addr, Prefix) -> MobilityAnchor) -> Net {
         let mut sim = Simulator::new(
             World {
                 topo: Topology::new(),
@@ -268,7 +232,7 @@ mod tests {
         t.add_prefix(map_prefix, map);
         t.add_prefix(lcoa_prefix, mh);
         t.compute_routes();
-        let anchor = make(map, map_addr, map_prefix);
+        let anchor = MobilityAnchor::map(map, map_addr, map_prefix);
         sim.actor_mut::<AnchorNode>(map).unwrap().anchor = Some(anchor);
         Net {
             sim,
@@ -392,59 +356,6 @@ mod tests {
             .as_ref()
             .unwrap();
         assert_eq!(anchor.intercept_failures, 1);
-    }
-
-    /// The shared registry's counters after one data packet to the RCoA,
-    /// with or without a live binding for it.
-    fn counters_after_one_packet(
-        make: fn(NodeId, Ipv6Addr, Prefix) -> MobilityAnchor,
-        bound: bool,
-    ) -> Vec<(String, u64)> {
-        let mut net = build_with(make);
-        if bound {
-            let node = net.sim.actor_mut::<AnchorNode>(net.map).unwrap();
-            let cache = &mut node.anchor.as_mut().unwrap().cache;
-            cache.update(
-                net.rcoa,
-                net.lcoa,
-                SimDuration::from_secs(60),
-                SimTime::ZERO,
-            );
-        }
-        let data = Packet::data(
-            FlowId(1),
-            0,
-            doc_subnet(0).host(1),
-            net.rcoa,
-            ServiceClass::RealTime,
-            160,
-            SimTime::ZERO,
-        );
-        inject(&mut net.sim, net.cn, data);
-        net.sim.run();
-        let stats = &net.sim.shared.stats;
-        stats.counters().map(|(k, v)| (k.to_owned(), v)).collect()
-    }
-
-    #[test]
-    fn registry_counters_register_on_first_use() {
-        let named = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
-            pairs.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
-        };
-        // The first tunneled packet also lists the failure counter, at 0.
-        assert_eq!(
-            counters_after_one_packet(MobilityAnchor::map, true),
-            named(&[("map.intercept_failures", 0), ("map.tunneled", 1)])
-        );
-        // A failure-only anchor never registers `tunneled`.
-        assert_eq!(
-            counters_after_one_packet(MobilityAnchor::map, false),
-            named(&[("map.intercept_failures", 1)])
-        );
-        assert_eq!(
-            counters_after_one_packet(MobilityAnchor::home_agent, true),
-            named(&[("ha.intercept_failures", 0), ("ha.tunneled", 1)])
-        );
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl BindingCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Drops every expired entry.
-    pub fn purge_expired(&mut self, now: SimTime) {
-        self.entries.retain(|_, e| e.is_valid_at(now));
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +169,6 @@ mod tests {
         assert_eq!(c.lookup(a(100), SimTime::from_secs(14)), Some(a(1)));
         assert_eq!(c.lookup(a(100), SimTime::from_secs(15)), None);
         assert_eq!(c.len(), 1); // still stored
-        c.purge_expired(SimTime::from_secs(15));
-        assert!(c.is_empty());
     }
 
     #[test]

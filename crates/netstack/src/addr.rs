@@ -61,12 +61,6 @@ impl Prefix {
         self.len
     }
 
-    /// `true` only for the zero-length (match-everything) prefix.
-    #[must_use]
-    pub fn is_default_route(&self) -> bool {
-        self.len == 0
-    }
-
     /// `true` if `addr` falls inside this prefix.
     #[must_use]
     pub fn contains(&self, addr: Ipv6Addr) -> bool {
@@ -134,7 +128,6 @@ mod tests {
     #[test]
     fn zero_length_prefix_matches_everything() {
         let p = Prefix::new(Ipv6Addr::LOCALHOST, 0);
-        assert!(p.is_default_route());
         assert!(p.contains(Ipv6Addr::UNSPECIFIED));
         assert!(p.contains("ffff::1".parse().unwrap()));
     }

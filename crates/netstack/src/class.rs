@@ -123,16 +123,6 @@ impl ServiceClass {
             _ => PerHopBehavior::Default,
         }
     }
-
-    /// Maps a DiffServ per-hop behaviour back onto a buffering class.
-    #[must_use]
-    pub fn from_phb(phb: PerHopBehavior) -> Self {
-        match phb {
-            PerHopBehavior::Expedited => ServiceClass::RealTime,
-            PerHopBehavior::Assured => ServiceClass::HighPriority,
-            PerHopBehavior::Default => ServiceClass::BestEffort,
-        }
-    }
 }
 
 impl ServiceClass {
@@ -232,13 +222,6 @@ mod tests {
         assert_eq!(ServiceClass::HighPriority.phb(), PerHopBehavior::Assured);
         assert_eq!(ServiceClass::BestEffort.phb(), PerHopBehavior::Default);
         assert_eq!(ServiceClass::Unspecified.phb(), PerHopBehavior::Default);
-        for phb in [
-            PerHopBehavior::Expedited,
-            PerHopBehavior::Assured,
-            PerHopBehavior::Default,
-        ] {
-            assert_eq!(ServiceClass::from_phb(phb).phb(), phb);
-        }
     }
 
     #[test]

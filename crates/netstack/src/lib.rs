@@ -56,9 +56,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod addr;
-pub mod boundary;
 mod class;
 pub mod fault;
 mod link;
@@ -70,18 +70,14 @@ pub mod trace;
 mod world;
 
 pub use addr::{doc_subnet, Prefix};
-pub use boundary::{BoundaryFabric, BoundaryLink, DomainId};
 pub use class::{ParseClassError, PerHopBehavior, ServiceClass};
 pub use fault::{FaultSpec, FaultState, FaultVerdict, GilbertElliott, NodeFaultSpec};
-/// Handle type of the counters behind [`NetStats::metrics_mut`], for
-/// components that register once and bump per packet.
-pub use fh_telemetry::CounterId;
 pub use link::{serialization_time, Link, LinkError, LinkId, LinkSpec};
 pub use msg::{ApId, ControlMsg};
 pub use packet::{ConnId, FlowId, Packet, Payload, TcpFlags, TcpSegment};
 pub use pool::{PacketHandle, PacketPool, PacketSlot};
 pub use topology::{NodeId, RouteDecision, Topology};
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::{render_trace, TraceEvent};
 pub use world::{
     record_control, record_drop, record_trace, send_control, send_from, start_timer, transmit_on,
     DropReason, FlowAudit, HandoverOutcome, L2Event, NetCtx, NetMsg, NetStats, NetWorld, TimerKind,

@@ -227,12 +227,6 @@ impl Packet {
         }
     }
 
-    /// `true` if this packet is a tunnel (encapsulated) packet.
-    #[must_use]
-    pub fn is_encapsulated(&self) -> bool {
-        matches!(self.payload, Payload::Encap(_))
-    }
-
     /// The innermost packet, following any number of encapsulations.
     #[must_use]
     pub fn innermost(&self) -> &Packet {
@@ -287,7 +281,6 @@ mod tests {
         assert_eq!(tun.class, ServiceClass::HighPriority);
         assert_eq!(tun.src, addr(9));
         assert_eq!(tun.dst, addr(8));
-        assert!(tun.is_encapsulated());
         assert_eq!(tun.decapsulate().unwrap(), pkt);
     }
 
@@ -304,7 +297,6 @@ mod tests {
     #[test]
     fn decapsulate_plain_packet_is_none() {
         assert!(sample().decapsulate().is_none());
-        assert!(!sample().is_encapsulated());
         assert_eq!(sample().innermost(), &sample());
     }
 

@@ -110,12 +110,6 @@ impl Topology {
         self.nodes.get(id.index()).is_some_and(|n| n.registered)
     }
 
-    /// The registered name of a node (empty if unknown).
-    #[must_use]
-    pub fn node_name(&self, id: NodeId) -> &str {
-        self.nodes.get(id.index()).map_or("", |n| n.name.as_str())
-    }
-
     /// Number of registered nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -391,7 +385,7 @@ mod tests {
     #[test]
     fn names_and_counts() {
         let (t, [a, ..], _) = diamond();
-        assert_eq!(t.node_name(a), "a");
+        assert!(t.is_registered(a));
         assert_eq!(t.node_count(), 4);
         assert_eq!(t.links().len(), 4);
     }

@@ -1,11 +1,12 @@
 //! Protocol event tracing (the ns-2 trace-file analog).
 //!
-//! When enabled, the [`TraceLog`] inside [`crate::NetStats`] records the
-//! structured simulation events — control messages sent / received /
-//! retransmitted, packet drops with their reason, link-layer events,
-//! per-class buffer admissions / evictions / flushes, injected faults
-//! and soft-state expiry — timestamped, in global event order. Rendering
-//! the log reads like a protocol analyzer's view of a handover:
+//! When enabled, the [`FlightRecorder`] in [`crate::NetStats::trace`]
+//! records the structured simulation events — control messages sent /
+//! received / retransmitted, packet drops with their reason, link-layer
+//! events, per-class buffer admissions / evictions / flushes, injected
+//! faults and soft-state expiry — timestamped, in global event order.
+//! [`render_trace`] prints the log like a protocol analyzer's view of a
+//! handover:
 //!
 //! ```text
 //! 1.200000s  ctrl RtSolPr 60B piggyback
@@ -14,17 +15,16 @@
 //! 1.409422s  l2 actor#4 LinkUp { ap: ap1 }
 //! ```
 //!
-//! The log is an [`fh_telemetry::FlightRecorder`] ring buffer: when it
-//! fills, the **oldest** events are overwritten (and counted), so the
-//! most recent history is always available. Tracing is off by default
-//! (zero overhead beyond a branch); enable it with [`TraceLog::enable`]
-//! before the run. Each [`TraceEvent`] implements
-//! [`fh_telemetry::TraceInstant`], so a recorded log exports straight to
-//! Chrome-trace or JSONL via `fh_telemetry::export`.
+//! The recorder is a ring buffer: when it fills, the **oldest** events
+//! are overwritten (and counted), so the most recent history is always
+//! available. Tracing is off by default (zero overhead beyond a branch);
+//! enable it with [`FlightRecorder::enable`] before the run. Each
+//! [`TraceEvent`] implements [`fh_telemetry::TraceInstant`], so a
+//! recorded log exports straight to Chrome-trace via
+//! `fh_telemetry::export`.
 
 use std::fmt::Write as _;
 
-use fh_sim::SimTime;
 use fh_telemetry::{FlightRecorder, TraceInstant};
 
 use crate::class::ServiceClass;
@@ -248,143 +248,77 @@ impl TraceInstant for TraceEvent {
     }
 }
 
-/// A bounded, timestamped protocol event log — a thin facade over
-/// [`FlightRecorder`] that owns the network-layer event vocabulary.
-#[derive(Debug, Clone, Default)]
-pub struct TraceLog {
-    rec: FlightRecorder<TraceEvent>,
-}
-
-impl TraceLog {
-    /// Switches tracing on, keeping the most recent `cap` events (the
-    /// ring overwrites the oldest ones, counting what it loses).
-    pub fn enable(&mut self, cap: usize) {
-        self.rec.enable(cap);
+/// Renders a recorded trace as one line per event, oldest surviving
+/// first, after a note of how many events the ring overwrote.
+#[must_use]
+pub fn render_trace(rec: &FlightRecorder<TraceEvent>) -> String {
+    let mut out = String::new();
+    if rec.overwritten() > 0 {
+        let _ = writeln!(out, "… {} earlier events overwritten", rec.overwritten());
     }
-
-    /// `true` while tracing is on.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.rec.is_enabled()
-    }
-
-    /// Records an event (no-op unless enabled).
-    pub fn push(&mut self, now: SimTime, event: TraceEvent) {
-        self.rec.record(now, event);
-    }
-
-    /// The recorded events, oldest surviving first.
-    pub fn events(&self) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
-        self.rec.events()
-    }
-
-    /// Events matching `pred`, oldest surviving first — e.g. only buffer
-    /// events, or only one router's events.
-    pub fn filtered<'a, F>(&'a self, pred: F) -> impl Iterator<Item = &'a (SimTime, TraceEvent)>
-    where
-        F: FnMut(&TraceEvent) -> bool + 'a,
-    {
-        self.rec.filtered(pred)
-    }
-
-    /// Number of events currently stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rec.len()
-    }
-
-    /// `true` when nothing is stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rec.is_empty()
-    }
-
-    /// Events lost to ring wraparound.
-    #[must_use]
-    pub fn overwritten(&self) -> u64 {
-        self.rec.overwritten()
-    }
-
-    /// Borrow of the underlying recorder (for exporters).
-    #[must_use]
-    pub fn recorder(&self) -> &FlightRecorder<TraceEvent> {
-        &self.rec
-    }
-
-    /// Renders the log as one line per event.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if self.rec.overwritten() > 0 {
-            let _ = writeln!(
-                out,
-                "… {} earlier events overwritten",
-                self.rec.overwritten()
-            );
-        }
-        for (t, ev) in self.rec.events() {
-            match ev {
-                TraceEvent::ControlSent {
-                    kind,
-                    bytes,
-                    piggybacked,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "{t}  ctrl {kind} {bytes}B{}",
-                        if *piggybacked { " piggyback" } else { "" }
-                    );
-                }
-                TraceEvent::ControlReceived { kind, at } => {
-                    let _ = writeln!(out, "{t}  recv {kind} @{at}");
-                }
-                TraceEvent::ControlRetransmit { kind, by } => {
-                    let _ = writeln!(out, "{t}  rtx {kind} by {by}");
-                }
-                TraceEvent::Drop { flow, reason } => {
-                    let _ = writeln!(out, "{t}  drop {flow} {reason:?}");
-                }
-                TraceEvent::L2 { mh, event } => {
-                    let _ = writeln!(out, "{t}  l2 {mh} {event:?}");
-                }
-                TraceEvent::BufferAdmit { ar, class, flow } => {
-                    let _ = writeln!(out, "{t}  buf+ {ar} {class} {flow}");
-                }
-                TraceEvent::BufferEvict { ar, class, flow } => {
-                    let _ = writeln!(out, "{t}  buf- {ar} {class} {flow}");
-                }
-                TraceEvent::BufferFlush { ar, path, pkts } => {
-                    let _ = writeln!(out, "{t}  flush {ar} {path} {pkts}pkt");
-                }
-                TraceEvent::FaultFired { node, what } => {
-                    let _ = writeln!(out, "{t}  fault {node} {what}");
-                }
-                TraceEvent::StateExpired { node, what } => {
-                    let _ = writeln!(out, "{t}  expire {node} {what}");
-                }
-                TraceEvent::StateReclaimed { node, pkts } => {
-                    let _ = writeln!(out, "{t}  reclaim {node} {pkts}pkt");
-                }
-                TraceEvent::PressureShed {
-                    ar,
-                    rung,
-                    class,
-                    flow,
-                } => {
-                    let _ = writeln!(out, "{t}  shed {ar} {rung} {class} {flow}");
-                }
-                TraceEvent::WatchdogFired { node, pkts } => {
-                    let _ = writeln!(out, "{t}  watchdog {node} {pkts}pkt");
-                }
+    for (t, ev) in rec.events() {
+        match ev {
+            TraceEvent::ControlSent {
+                kind,
+                bytes,
+                piggybacked,
+            } => {
+                let _ = writeln!(
+                    out,
+                    "{t}  ctrl {kind} {bytes}B{}",
+                    if *piggybacked { " piggyback" } else { "" }
+                );
+            }
+            TraceEvent::ControlReceived { kind, at } => {
+                let _ = writeln!(out, "{t}  recv {kind} @{at}");
+            }
+            TraceEvent::ControlRetransmit { kind, by } => {
+                let _ = writeln!(out, "{t}  rtx {kind} by {by}");
+            }
+            TraceEvent::Drop { flow, reason } => {
+                let _ = writeln!(out, "{t}  drop {flow} {reason:?}");
+            }
+            TraceEvent::L2 { mh, event } => {
+                let _ = writeln!(out, "{t}  l2 {mh} {event:?}");
+            }
+            TraceEvent::BufferAdmit { ar, class, flow } => {
+                let _ = writeln!(out, "{t}  buf+ {ar} {class} {flow}");
+            }
+            TraceEvent::BufferEvict { ar, class, flow } => {
+                let _ = writeln!(out, "{t}  buf- {ar} {class} {flow}");
+            }
+            TraceEvent::BufferFlush { ar, path, pkts } => {
+                let _ = writeln!(out, "{t}  flush {ar} {path} {pkts}pkt");
+            }
+            TraceEvent::FaultFired { node, what } => {
+                let _ = writeln!(out, "{t}  fault {node} {what}");
+            }
+            TraceEvent::StateExpired { node, what } => {
+                let _ = writeln!(out, "{t}  expire {node} {what}");
+            }
+            TraceEvent::StateReclaimed { node, pkts } => {
+                let _ = writeln!(out, "{t}  reclaim {node} {pkts}pkt");
+            }
+            TraceEvent::PressureShed {
+                ar,
+                rung,
+                class,
+                flow,
+            } => {
+                let _ = writeln!(out, "{t}  shed {ar} {rung} {class} {flow}");
+            }
+            TraceEvent::WatchdogFired { node, pkts } => {
+                let _ = writeln!(out, "{t}  watchdog {node} {pkts}pkt");
             }
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fh_sim::SimTime;
 
     fn args_json(ev: &TraceEvent) -> String {
         let mut out = String::new();
@@ -393,103 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_stores_nothing() {
-        let mut log = TraceLog::default();
-        log.push(
-            SimTime::ZERO,
-            TraceEvent::Drop {
-                flow: FlowId(1),
-                reason: DropReason::RadioDetached,
-            },
-        );
-        assert!(!log.is_enabled());
-        assert!(log.is_empty());
-        assert_eq!(log.overwritten(), 0);
-    }
-
-    #[test]
-    fn ring_keeps_the_most_recent_events() {
-        let mut log = TraceLog::default();
-        log.enable(2);
-        for i in 0..5 {
-            log.push(
-                SimTime::from_millis(i),
-                TraceEvent::ControlReceived {
-                    kind: "RA",
-                    at: NodeId::from_index(0),
-                },
-            );
-        }
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.overwritten(), 3);
-        // The survivors are the *latest* two pushes.
-        let times: Vec<u64> = log.events().map(|&(t, _)| t.as_nanos()).collect();
-        assert_eq!(times, vec![3_000_000, 4_000_000]);
-        assert!(log.render().contains("3 earlier events overwritten"));
-    }
-
-    #[test]
-    fn capacity_zero_counts_without_storing() {
-        let mut log = TraceLog::default();
-        log.enable(0);
-        log.push(
-            SimTime::ZERO,
-            TraceEvent::FaultFired {
-                node: NodeId::from_index(0),
-                what: "crash",
-            },
-        );
-        assert!(log.is_empty());
-        assert_eq!(log.overwritten(), 1);
-    }
-
-    #[test]
-    fn filtered_subscription_selects_by_event_kind() {
-        let mut log = TraceLog::default();
-        log.enable(16);
-        log.push(
-            SimTime::from_millis(1),
-            TraceEvent::BufferAdmit {
-                ar: NodeId::from_index(0),
-                class: ServiceClass::RealTime,
-                flow: FlowId(7),
-            },
-        );
-        log.push(
-            SimTime::from_millis(2),
-            TraceEvent::Drop {
-                flow: FlowId(7),
-                reason: DropReason::Policy,
-            },
-        );
-        log.push(
-            SimTime::from_millis(3),
-            TraceEvent::BufferEvict {
-                ar: NodeId::from_index(0),
-                class: ServiceClass::BestEffort,
-                flow: FlowId(7),
-            },
-        );
-        let buffer_events: Vec<&TraceEvent> = log
-            .filtered(|e| {
-                matches!(
-                    e,
-                    TraceEvent::BufferAdmit { .. } | TraceEvent::BufferEvict { .. }
-                )
-            })
-            .map(|(_, e)| e)
-            .collect();
-        assert_eq!(buffer_events.len(), 2);
-        assert!(matches!(buffer_events[0], TraceEvent::BufferAdmit { .. }));
-        assert!(matches!(buffer_events[1], TraceEvent::BufferEvict { .. }));
-    }
-
-    #[test]
     fn render_formats_each_kind() {
-        let mut log = TraceLog::default();
+        let mut log = FlightRecorder::new();
         log.enable(32);
         let node = NodeId::from_index(0);
-        log.push(
+        log.record(
             SimTime::from_millis(1),
             TraceEvent::ControlSent {
                 kind: "HI",
@@ -497,14 +339,14 @@ mod tests {
                 piggybacked: true,
             },
         );
-        log.push(
+        log.record(
             SimTime::from_millis(2),
             TraceEvent::Drop {
                 flow: FlowId(3),
                 reason: DropReason::BufferOverflow,
             },
         );
-        log.push(
+        log.record(
             SimTime::from_millis(3),
             TraceEvent::BufferAdmit {
                 ar: node,
@@ -512,7 +354,7 @@ mod tests {
                 flow: FlowId(3),
             },
         );
-        log.push(
+        log.record(
             SimTime::from_millis(4),
             TraceEvent::BufferFlush {
                 ar: node,
@@ -520,11 +362,11 @@ mod tests {
                 pkts: 9,
             },
         );
-        log.push(
+        log.record(
             SimTime::from_millis(5),
             TraceEvent::StateReclaimed { node, pkts: 4 },
         );
-        log.push(
+        log.record(
             SimTime::from_millis(6),
             TraceEvent::PressureShed {
                 ar: node,
@@ -533,11 +375,11 @@ mod tests {
                 flow: FlowId(3),
             },
         );
-        log.push(
+        log.record(
             SimTime::from_millis(7),
             TraceEvent::WatchdogFired { node, pkts: 2 },
         );
-        let s = log.render();
+        let s = render_trace(&log);
         assert!(s.contains("ctrl HI 120B piggyback"));
         assert!(s.contains("drop flow3 BufferOverflow"));
         assert!(s.contains("buf+ actor#0 real-time flow3"));
@@ -545,6 +387,22 @@ mod tests {
         assert!(s.contains("reclaim actor#0 4pkt"));
         assert!(s.contains("shed actor#0 best-effort best-effort flow3"));
         assert!(s.contains("watchdog actor#0 2pkt"));
+        assert!(!s.contains("overwritten"));
+
+        let mut ring = FlightRecorder::new();
+        ring.enable(2);
+        for i in 0..5 {
+            ring.record(
+                SimTime::from_millis(i),
+                TraceEvent::ControlReceived {
+                    kind: "RA",
+                    at: node,
+                },
+            );
+        }
+        let s = render_trace(&ring);
+        assert!(s.starts_with("… 3 earlier events overwritten\n"));
+        assert_eq!(s.matches("recv RA @actor#0").count(), 2);
     }
 
     #[test]

@@ -259,7 +259,7 @@ impl HandoverOutcome {
 pub struct NetStats {
     /// Optional protocol event trace (off by default).
     #[serde(skip)]
-    pub trace: crate::trace::TraceLog,
+    pub trace: fh_telemetry::FlightRecorder<crate::trace::TraceEvent>,
     /// Optional handover span store (off by default): one span per
     /// handover attempt, with the protocol phases as timestamped marks.
     #[serde(skip)]
@@ -279,10 +279,6 @@ pub struct NetStats {
     pub piggybacked: u64,
     /// Handover outcome tally, indexed by [`HandoverOutcome`].
     outcomes: [u64; 3],
-    /// Named metrics mirrored from node-local components. Iteration is
-    /// sorted by name, so any rendering of it is deterministic.
-    #[serde(skip)]
-    metrics: fh_telemetry::MetricsRegistry,
 }
 
 /// End-of-run packet-conservation snapshot for one flow.
@@ -334,7 +330,7 @@ impl NetStats {
         self.drops[reason.index()] += 1;
         self.flow_mut(flow).dropped += 1;
         self.trace
-            .push(now, crate::trace::TraceEvent::Drop { flow, reason });
+            .record(now, crate::trace::TraceEvent::Drop { flow, reason });
     }
 
     /// Records a sent control message.
@@ -344,7 +340,7 @@ impl NetStats {
         if msg.has_piggyback() {
             self.piggybacked += 1;
         }
-        self.trace.push(
+        self.trace.record(
             now,
             crate::trace::TraceEvent::ControlSent {
                 kind: msg.kind_name(),
@@ -371,12 +367,6 @@ impl NetStats {
     #[must_use]
     pub fn drops_by_reason(&self) -> [(DropReason, u64); DropReason::ALL.len()] {
         DropReason::ALL.map(|r| (r, self.drops(r)))
-    }
-
-    /// Drops attributed to one flow.
-    #[must_use]
-    pub fn flow_drops(&self, flow: FlowId) -> u64 {
-        self.flow_audit(flow).dropped
     }
 
     /// Number of control messages of the given kind sent so far.
@@ -474,50 +464,10 @@ impl NetStats {
         self.outcomes[outcome.index()] += 1;
     }
 
-    /// Handover attempts that resolved as `outcome`.
-    #[must_use]
-    pub fn outcome_count(&self, outcome: HandoverOutcome) -> u64 {
-        self.outcomes[outcome.index()]
-    }
-
     /// The full outcome tally as `(outcome, count)` pairs.
     #[must_use]
     pub fn outcomes(&self) -> [(HandoverOutcome, u64); 3] {
         HandoverOutcome::ALL.map(|o| (o, self.outcomes[o.index()]))
-    }
-
-    /// Adds `delta` to the named counter (creating it at zero).
-    ///
-    /// Node-local components mirror their failure counters here — e.g.
-    /// `"map.intercept_failures"` — so runs can assert on shared stats
-    /// instead of reaching into node structs. Components on a hot path
-    /// should instead register a handle once via
-    /// [`NetStats::metrics_mut`] and bump through it.
-    pub fn bump(&mut self, name: &str, delta: u64) {
-        let id = self.metrics.counter(name);
-        self.metrics.add(id, delta);
-    }
-
-    /// Reads a named counter (zero if never bumped).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.metrics.counter_value(name)
-    }
-
-    /// All named counters in sorted order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.metrics.counters()
-    }
-
-    /// The underlying metrics registry (counters, gauges, histograms).
-    #[must_use]
-    pub fn metrics(&self) -> &fh_telemetry::MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Mutable registry access, for components that register handles.
-    pub fn metrics_mut(&mut self) -> &mut fh_telemetry::MetricsRegistry {
-        &mut self.metrics
     }
 }
 
@@ -660,7 +610,7 @@ where
     let now = ctx.now();
     let stats = ctx.shared.stats_mut();
     if stats.trace.is_enabled() {
-        stats.trace.push(now, make());
+        stats.trace.record(now, make());
     }
 }
 
@@ -796,7 +746,7 @@ mod tests {
         );
         sim.run();
         assert_eq!(sim.shared.stats.drops(DropReason::Unroutable), 1);
-        assert_eq!(sim.shared.stats.flow_drops(FlowId(1)), 1);
+        assert_eq!(sim.shared.stats.flow_audit(FlowId(1)).dropped, 1);
         assert_eq!(sim.shared.stats.delivered, 0);
     }
 
@@ -953,7 +903,7 @@ mod tests {
         // put a flow in the audit set.
         stats.record_drop(SimTime::ZERO, FlowId(3), DropReason::Unroutable);
         assert_eq!(stats.audited_flows(), vec![FlowId(0), FlowId(7)]);
-        assert_eq!(stats.flow_drops(FlowId(3)), 1);
+        assert_eq!(stats.flow_audit(FlowId(3)).dropped, 1);
         for untouched in [FlowId(5), FlowId(8), FlowId(u32::MAX)] {
             let audit = stats.flow_audit(untouched);
             assert_eq!(audit, FlowAudit::default());
@@ -976,22 +926,19 @@ mod tests {
     }
 
     #[test]
-    fn outcome_tally_and_named_counters() {
+    fn outcome_tally() {
         let mut stats = NetStats::new();
         stats.record_outcome(HandoverOutcome::Predictive);
         stats.record_outcome(HandoverOutcome::Predictive);
         stats.record_outcome(HandoverOutcome::Reactive);
-        assert_eq!(stats.outcome_count(HandoverOutcome::Predictive), 2);
-        assert_eq!(stats.outcome_count(HandoverOutcome::Reactive), 1);
-        assert_eq!(stats.outcome_count(HandoverOutcome::Failed), 0);
-        let tally = stats.outcomes();
-        assert_eq!(tally[0], (HandoverOutcome::Predictive, 2));
-        stats.bump("map.intercept_failures", 1);
-        stats.bump("map.intercept_failures", 2);
-        assert_eq!(stats.counter("map.intercept_failures"), 3);
-        assert_eq!(stats.counter("never.bumped"), 0);
-        let names: Vec<&str> = stats.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["map.intercept_failures"]);
+        assert_eq!(
+            stats.outcomes(),
+            [
+                (HandoverOutcome::Predictive, 2),
+                (HandoverOutcome::Reactive, 1),
+                (HandoverOutcome::Failed, 0)
+            ]
+        );
     }
 
     #[test]

@@ -702,9 +702,8 @@ impl HmipScenario {
     }
 
     /// End-of-run bookkeeping: classifies every still-open handover
-    /// attempt as [`HandoverOutcome::Failed`] and mirrors the routers'
-    /// activity counters into the shared stats registry. Call once, after
-    /// the final `run_until`. Returns the number of failed attempts.
+    /// attempt as [`HandoverOutcome::Failed`]. Call once, after the final
+    /// `run_until`. Returns the number of failed attempts.
     pub fn finalize(&mut self) -> u64 {
         let mhs = self.mhs.clone();
         let mut failed = 0u64;
@@ -727,10 +726,6 @@ impl HmipScenario {
         for id in spans.open_spans() {
             spans.end(id, now, HandoverOutcome::Failed.label());
         }
-        let pm = self.par_agent().metrics;
-        let nm = self.nar_agent().metrics;
-        pm.export(&mut self.sim.shared.stats);
-        nm.export(&mut self.sim.shared.stats);
         failed
     }
 
@@ -804,16 +799,6 @@ impl HmipScenario {
     #[must_use]
     pub fn wedged_sessions(&self) -> usize {
         self.par_agent().pool().wedged_sessions() + self.nar_agent().pool().wedged_sessions()
-    }
-
-    /// Panics unless [`HmipScenario::leak_report`] is clean: no live
-    /// sessions, reservations, buffered packets, paced flushes or pending
-    /// non-route timers on either router, no host route pointing at a
-    /// host that is not attached to that router, and no host wedged in an
-    /// unresolved handover attempt.
-    pub fn assert_no_leaks(&self) {
-        let report = self.leak_report();
-        assert!(report.is_clean(), "resource leak after quiesce: {report:?}");
     }
 }
 

@@ -572,6 +572,8 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint) -> (PointRun, Option<Recording
     let leak = scenario.leak_report();
     let outcomes = scenario.outcomes();
     let recording = (plan.report == ReportKind::Timeline).then(|| scenario.take_recording());
+    let (par, nar) = (scenario.par_agent().metrics, scenario.nar_agent().metrics);
+    let hosts = || (0..scenario.mhs.len()).map(|i| scenario.mh_agent(i));
     let stats = &scenario.sim.shared.stats;
     let audit = PointAudit {
         conservation_violations: stats
@@ -590,7 +592,7 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint) -> (PointRun, Option<Recording
         class_p99_ms,
         peak_bytes_parked: scenario.peak_bytes_parked(),
         wedged_sessions: scenario.wedged_sessions(),
-        shed_order_violations: stats.counter("ar.shed_order_violations"),
+        shed_order_violations: par.shed_order_violations + nar.shed_order_violations,
     };
     let point = PointRun {
         loss: gp.loss,
@@ -603,11 +605,15 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint) -> (PointRun, Option<Recording
         class_drops,
         class_p99_ms,
         fault_drops: stats.drops(DropReason::FaultInjected),
-        retransmissions: stats.counter("mh.retransmissions") + stats.counter("ar.retransmissions"),
-        degradations: stats.counter("mh.degradations") + stats.counter("ar.hi_exhausted"),
+        retransmissions: hosts().map(|a| a.retransmissions).sum::<u64>()
+            + par.retransmissions
+            + nar.retransmissions,
+        degradations: hosts().map(|a| a.degradations).sum::<u64>()
+            + par.hi_exhausted
+            + nar.hi_exhausted,
         expired: stats.drops(DropReason::Expired),
         reclaimed: stats.drops(DropReason::Reclaimed),
-        routes_expired: stats.counter("ar.routes_expired"),
+        routes_expired: par.routes_expired + nar.routes_expired,
         events: scenario.sim.events_processed(),
         audit,
         metro: None,

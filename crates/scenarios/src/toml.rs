@@ -62,7 +62,7 @@ impl std::error::Error for PlanError {}
 
 /// A parsed TOML value (the subset plans use).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub(crate) enum Value {
     /// A basic string (`"…"`).
     Str(String),
     /// An integer (underscore separators allowed).
@@ -78,7 +78,7 @@ pub enum Value {
 impl Value {
     /// The value's type name, for error messages.
     #[must_use]
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Value::Str(_) => "string",
             Value::Int(_) => "integer",
@@ -91,7 +91,7 @@ impl Value {
 
 /// One `key = value` pair with its source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// The bare key.
     pub key: String,
     /// The parsed value.
@@ -102,7 +102,7 @@ pub struct Entry {
 
 /// One table: its entries in file order.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Table {
+pub(crate) struct Table {
     /// The table's `key = value` pairs, in file order.
     pub entries: Vec<Entry>,
     /// 1-based source line of the table header (0 for the root table).
@@ -113,14 +113,14 @@ impl Table {
     /// Looks up an entry by key.
     #[must_use]
     #[allow(dead_code)] // exercised by the parser tests
-    pub fn get(&self, key: &str) -> Option<&Entry> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Entry> {
         self.entries.iter().find(|e| e.key == key)
     }
 }
 
 /// A parsed document: named tables plus array-of-tables, in file order.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Doc {
+pub(crate) struct Doc {
     /// Root-level `key = value` pairs (before any header).
     pub root: Table,
     /// `[name]` tables, in file order. Duplicates are a parse error.
@@ -132,31 +132,18 @@ pub struct Doc {
 impl Doc {
     /// The unique `[name]` table, if present.
     #[must_use]
-    pub fn table(&self, name: &str) -> Option<&Table> {
+    pub(crate) fn table(&self, name: &str) -> Option<&Table> {
         self.tables.iter().find(|(n, _)| n == name).map(|(_, t)| t)
     }
 
     /// Every `[[name]]` table, in file order.
     #[must_use]
-    pub fn array_of(&self, name: &str) -> Vec<&Table> {
+    pub(crate) fn array_of(&self, name: &str) -> Vec<&Table> {
         self.arrays
             .iter()
             .filter(|(n, _)| n == name)
             .map(|(_, t)| t)
             .collect()
-    }
-
-    /// All distinct table names (both kinds), in first-appearance order.
-    #[must_use]
-    #[allow(dead_code)] // exercised by the parser tests
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = Vec::new();
-        for (n, _) in self.tables.iter().chain(self.arrays.iter()) {
-            if !names.contains(&n.as_str()) {
-                names.push(n);
-            }
-        }
-        names
     }
 }
 
@@ -167,7 +154,7 @@ impl Doc {
 /// Returns a [`PlanError`] naming `file` and the offending line for any
 /// syntax problem: unterminated strings, missing `=`, duplicate tables or
 /// keys, multi-line arrays, or values outside the supported subset.
-pub fn parse(input: &str, file: &str) -> Result<Doc, PlanError> {
+pub(crate) fn parse(input: &str, file: &str) -> Result<Doc, PlanError> {
     let mut doc = Doc::default();
     // Index of the table currently receiving keys: None = root,
     // Some((is_array, idx)) = doc.tables[idx] / doc.arrays[idx].
@@ -491,7 +478,6 @@ sizes = [4, 8, 12]
             workloads[1].get("sizes").unwrap().value,
             Value::Array(vec![Value::Int(4), Value::Int(8), Value::Int(12)])
         );
-        assert_eq!(doc.table_names(), vec!["plan", "workload"]);
     }
 
     #[test]

@@ -193,9 +193,10 @@ fn overload_sheds_deterministically_and_watchdog_unwedges_sessions() {
         s.peak_bytes_parked()
     );
     assert_eq!(s.wedged_sessions(), 0, "no wedged state survives quiesce");
+    let (par, nar) = (s.par_agent().metrics, s.nar_agent().metrics);
     let stats = &s.sim.shared.stats;
     assert!(
-        stats.counter("ar.pressure_sheds") > 0,
+        par.pressure_sheds + nar.pressure_sheds > 0,
         "an 8-host blackout against a 2 kB budget must shed"
     );
     assert!(
@@ -203,11 +204,11 @@ fn overload_sheds_deterministically_and_watchdog_unwedges_sessions() {
         "sheds must be ledgered under their own drop reason"
     );
     assert!(
-        stats.counter("ar.watchdog_fired") > 0,
+        par.watchdog_fired + nar.watchdog_fired > 0,
         "sessions outliving the 800 ms deadline must be force-resolved"
     );
     assert_eq!(
-        stats.counter("ar.shed_order_violations"),
+        par.shed_order_violations + nar.shed_order_violations,
         0,
         "every shed must run with the earlier ladder rungs exhausted"
     );

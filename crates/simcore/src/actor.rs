@@ -215,21 +215,6 @@ impl<M: 'static, S: 'static> Simulator<M, S> {
         self.events.push(at, (to, msg));
     }
 
-    /// Schedules `msg` for `to` after `delay` from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, to: ActorId, msg: M) {
-        self.events.push(self.now + delay, (to, msg));
-    }
-
-    /// Schedules `msg` for `to` after `delay`, returning a cancellation key.
-    pub fn schedule_keyed(&mut self, delay: SimDuration, to: ActorId, msg: M) -> EventKey {
-        self.events.push(self.now + delay, (to, msg))
-    }
-
-    /// Cancels a pending delivery in O(1), returning its message.
-    pub fn cancel(&mut self, key: EventKey) -> Option<M> {
-        self.events.cancel(key).map(|(_, msg)| msg)
-    }
-
     /// The current simulation time.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -242,21 +227,9 @@ impl<M: 'static, S: 'static> Simulator<M, S> {
         self.processed
     }
 
-    /// Number of events still pending.
-    #[must_use]
-    pub fn events_pending(&self) -> usize {
-        self.events.len()
-    }
-
     /// Caps the total number of events a run may dispatch (runaway guard).
     pub fn set_event_limit(&mut self, limit: u64) {
         self.event_limit = limit;
-    }
-
-    /// Typed shared-state accessor (convenience for chained setup).
-    #[must_use]
-    pub fn shared_mut(&mut self) -> &mut S {
-        &mut self.shared
     }
 
     /// Borrows a registered actor, downcast to its concrete type.
@@ -493,21 +466,6 @@ mod tests {
         assert_eq!(sim.shared[0], original);
         let echoed: Vec<u64> = sim.shared[1..].iter().map(|m| m[0]).collect();
         assert_eq!(echoed, (0..1_000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn simulator_cancel_prunes_pending_count() {
-        let mut sim: Simulator<Msg, Vec<SimTime>> = Simulator::new(Vec::new(), 1);
-        let t = sim.add_actor(Box::new(Ticker {
-            ticks: 0,
-            period: SimDuration::from_millis(100),
-        }));
-        let key = sim.schedule_keyed(SimDuration::from_millis(5), t, Msg::Stop);
-        assert_eq!(sim.events_pending(), 1);
-        assert!(sim.cancel(key).is_some());
-        assert_eq!(sim.events_pending(), 0);
-        sim.run();
-        assert_eq!(sim.events_processed(), 0);
     }
 
     #[test]

@@ -80,12 +80,6 @@ impl Welford {
         }
     }
 
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`None` when empty).
     #[must_use]
     pub fn min(&self) -> Option<f64> {
@@ -189,13 +183,6 @@ impl Histogram {
             .iter()
             .enumerate()
             .map(move |(i, &c)| (self.lo + (i as f64 + 0.5) * self.width, c))
-    }
-
-    /// Approximate 99.9th percentile (`None` when empty) — the tail
-    /// metric storm/chaos sweeps report alongside p99.
-    #[must_use]
-    pub fn p999(&self) -> Option<f64> {
-        self.quantile(0.999)
     }
 
     /// Merges another histogram into this one for cross-shard
@@ -347,7 +334,6 @@ mod tests {
         }
         assert!((w.mean() - 5.0).abs() < 1e-12);
         assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(w.min(), Some(2.0));
         assert_eq!(w.max(), Some(9.0));
     }
@@ -472,7 +458,7 @@ mod tests {
         eq.merge(&eq2);
         assert_eq!(eq.total(), 100);
         assert_eq!(eq.quantile(0.01), eq.quantile(0.999));
-        assert_eq!(eq.p999(), Some(6.0));
+        assert_eq!(eq.quantile(0.999), Some(6.0));
     }
 
     #[test]
@@ -488,11 +474,11 @@ mod tests {
         for i in 0..1000 {
             h.add(i as f64 + 0.5);
         }
-        let Some(p999) = h.p999() else {
+        let Some(p999) = h.quantile(0.999) else {
             panic!("populated histogram must have a p99.9");
         };
         assert!(p999 >= 999.0, "p99.9 {p999}");
-        assert_eq!(Histogram::new(0.0, 1.0, 1).p999(), None);
+        assert_eq!(Histogram::new(0.0, 1.0, 1).quantile(0.999), None);
     }
 
     #[test]

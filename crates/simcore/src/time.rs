@@ -199,22 +199,6 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
-
-    /// Multiplies the span by a non-negative factor, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative, NaN, or the result overflows.
-    #[must_use]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "factor must be finite and non-negative, got {factor}"
-        );
-        let ns = self.0 as f64 * factor;
-        assert!(ns <= u64::MAX as f64, "duration overflows u64 nanoseconds");
-        SimDuration(ns.round() as u64)
-    }
 }
 
 /// Saturates at [`SimTime::MAX`]: a span that saturated on purpose (a
@@ -364,7 +348,6 @@ mod tests {
         let d = SimDuration::from_millis(10);
         assert_eq!(d * 3, SimDuration::from_millis(30));
         assert_eq!(d / 2, SimDuration::from_millis(5));
-        assert_eq!(d.mul_f64(1.5), SimDuration::from_millis(15));
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl TcpReceiver {
         }
     }
 
-    /// The receiver's own address (moves with the mobile host).
-    pub fn set_addr(&mut self, addr: Ipv6Addr) {
-        self.addr = addr;
-    }
-
     /// Bytes delivered in order to the application so far.
     #[must_use]
     pub fn bytes_in_order(&self) -> u64 {
@@ -206,15 +201,5 @@ mod tests {
         assert!(r.on_segment(SimTime::ZERO, &foreign).is_none());
         let empty = TcpSegment { len: 0, ..seg(0) };
         assert!(r.on_segment(SimTime::ZERO, &empty).is_none());
-    }
-
-    #[test]
-    fn moves_keep_the_connection() {
-        let mut r = rx();
-        let _ = r.on_segment(SimTime::ZERO, &seg(0));
-        r.set_addr("2001:db8:2::9".parse().unwrap());
-        let ack = r.on_segment(SimTime::from_millis(1), &seg(1000)).unwrap();
-        assert_eq!(ack.src, "2001:db8:2::9".parse::<Ipv6Addr>().unwrap());
-        assert_eq!(r.bytes_in_order(), 2000);
     }
 }

@@ -1,5 +1,5 @@
-//! Deterministic exporters: Chrome-trace JSON, JSONL event dumps and a
-//! shared CSV table writer.
+//! Deterministic exporters: Chrome-trace JSON and a shared CSV table
+//! writer.
 //!
 //! Every exporter here is a pure function of the recorded history: no
 //! wall clocks, no hash-map iteration order, no locale-dependent
@@ -287,24 +287,6 @@ impl ChromeTrace {
     }
 }
 
-/// Dumps timestamped events as JSONL (one JSON object per line):
-/// `{"t_ns":..., "name":..., "track":..., "args":{...}}`.
-pub fn events_jsonl<'a, E, I>(events: I) -> String
-where
-    E: TraceInstant + 'a,
-    I: IntoIterator<Item = &'a (SimTime, E)>,
-{
-    let mut out = String::new();
-    for (t, e) in events {
-        let _ = write!(out, "{{\"t_ns\":{},\"name\":\"", t.as_nanos());
-        escape_into(&mut out, e.name());
-        let _ = write!(out, "\",\"track\":{},\"args\":", e.track());
-        e.write_args(&mut out);
-        out.push_str("}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,21 +373,6 @@ mod tests {
         let json = trace.finish();
         assert!(json.contains("\"outcome\":\"open\""));
         assert!(json.contains("\"dur\":5000.000"));
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let events = vec![
-            (SimTime::from_millis(1), Ping(1)),
-            (SimTime::from_millis(2), Ping(2)),
-        ];
-        let out = events_jsonl(&events);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"t_ns\":1000000,\"name\":\"ping\",\"track\":1,\"args\":{\"n\":1}}"
-        );
     }
 
     #[test]

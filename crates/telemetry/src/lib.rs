@@ -11,14 +11,13 @@
 //!   independent shards [`MetricsRegistry::merge`] by name.
 //! * [`FlightRecorder`] — a fixed-capacity ring buffer of timestamped
 //!   structured events, generic over the event vocabulary. Cheap enough
-//!   to leave on (one branch when disabled) and truly zero-cost when the
-//!   `recorder` feature is compiled out.
+//!   to leave on (one branch when disabled).
 //! * [`SpanStore`] — begin/annotate/end spans so a multi-phase operation
 //!   (a handover attempt) is a first-class measurement: per-phase latency
 //!   is read off the span's marks instead of re-derived in analysis code.
-//! * [`export`] — Chrome-trace JSON (`chrome://tracing` / Perfetto),
-//!   JSONL event dumps and a shared CSV table writer. Every exporter is
-//!   byte-deterministic for a given recorded history.
+//! * [`export`] — Chrome-trace JSON (`chrome://tracing` / Perfetto) and
+//!   a shared CSV table writer. Every exporter is byte-deterministic for
+//!   a given recorded history.
 //!
 //! Everything in this crate is driven by [`fh_sim::SimTime`]: no wall
 //! clocks, no global state, no interior mutability — determinism is
@@ -59,6 +58,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod export;
 mod recorder;

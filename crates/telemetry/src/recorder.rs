@@ -10,8 +10,7 @@ use fh_sim::SimTime;
 /// of overwritten events is counted so truncation is never silent.
 ///
 /// Disabled recorders cost one branch per [`FlightRecorder::record`]
-/// call and hold no storage. With the crate's `recorder` feature
-/// compiled out, `record` is an empty inline function.
+/// call and hold no storage.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder<E> {
     enabled: bool,
@@ -50,11 +49,6 @@ impl<E> FlightRecorder<E> {
         self.cap = cap;
     }
 
-    /// Switches recording off (stored events remain readable).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// `true` while recording.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -64,27 +58,20 @@ impl<E> FlightRecorder<E> {
     /// Records one event (no-op unless enabled).
     #[inline]
     pub fn record(&mut self, now: SimTime, event: E) {
-        #[cfg(feature = "recorder")]
-        {
-            if !self.enabled {
-                return;
-            }
-            self.seen += 1;
-            if self.cap == 0 {
-                self.overwritten += 1;
-                return;
-            }
-            if self.buf.len() < self.cap {
-                self.buf.push((now, event));
-            } else {
-                self.buf[self.head] = (now, event);
-                self.head = (self.head + 1) % self.cap;
-                self.overwritten += 1;
-            }
+        if !self.enabled {
+            return;
         }
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = (now, event);
+        self.seen += 1;
+        if self.cap == 0 {
+            self.overwritten += 1;
+            return;
+        }
+        if self.buf.len() < self.cap {
+            self.buf.push((now, event));
+        } else {
+            self.buf[self.head] = (now, event);
+            self.head = (self.head + 1) % self.cap;
+            self.overwritten += 1;
         }
     }
 
@@ -138,7 +125,7 @@ impl<E> FlightRecorder<E> {
     }
 }
 
-#[cfg(all(test, feature = "recorder"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -103,12 +103,6 @@ impl MetricsRegistry {
         self.gauges[id.0 as usize] = v;
     }
 
-    /// Current value of a gauge.
-    #[must_use]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0 as usize]
-    }
-
     /// All gauges as `(name, value)`, sorted by name.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauge_index
@@ -133,12 +127,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn observe(&mut self, id: HistogramId, x: f64) {
         self.histograms[id.0 as usize].add(x);
-    }
-
-    /// Borrow of a histogram for quantile queries.
-    #[must_use]
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0 as usize]
     }
 
     /// All histograms as `(name, histogram)`, sorted by name.
@@ -213,10 +201,10 @@ mod tests {
     fn gauges_hold_latest_value() {
         let mut r = MetricsRegistry::new();
         let g = r.gauge("queue-depth");
-        assert_eq!(r.gauge_value(g), 0.0);
+        assert!(r.gauges().eq([("queue-depth", 0.0)]));
         r.set(g, 7.5);
         r.set(g, 3.0);
-        assert_eq!(r.gauge_value(g), 3.0);
+        assert!(r.gauges().eq([("queue-depth", 3.0)]));
     }
 
     #[test]
@@ -226,7 +214,9 @@ mod tests {
         for i in 0..100 {
             r.observe(h, f64::from(i) + 0.5);
         }
-        let p50 = r.histogram_ref(h).quantile(0.5).expect("populated");
+        let (name, hist) = r.histograms().next().expect("registered");
+        assert_eq!(name, "latency-ms");
+        let p50 = hist.quantile(0.5).expect("populated");
         assert!((p50 - 50.0).abs() <= 1.0);
     }
 
@@ -253,8 +243,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter_value("drops"), 7);
         assert_eq!(a.counter_value("only-in-b"), 1);
-        assert_eq!(a.gauge_value(ag), 9.0);
-        assert_eq!(a.histogram_ref(ah).total(), 2);
+        assert!(a.gauges().eq([("depth", 9.0)]));
+        assert!(a.histograms().map(|(_, h)| h.total()).eq([2]));
         // Pre-merge ids against `a` still resolve.
         assert_eq!(a.get(ac), 7);
     }

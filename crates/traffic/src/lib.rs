@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod analysis;
 
@@ -92,33 +93,6 @@ impl CbrSource {
     #[must_use]
     pub fn audio_64k(flow: FlowId, src: Ipv6Addr, dst: Ipv6Addr, class: ServiceClass) -> Self {
         CbrSource::new(flow, src, dst, class, 160, SimDuration::from_millis(20))
-    }
-
-    /// The thesis' 128 kb/s audio flow: 160-byte packets every 10 ms.
-    #[must_use]
-    pub fn audio_128k(flow: FlowId, src: Ipv6Addr, dst: Ipv6Addr, class: ServiceClass) -> Self {
-        CbrSource::new(flow, src, dst, class, 160, SimDuration::from_millis(10))
-    }
-
-    /// A CBR flow with the given rate in kilobits/second, using 160-byte
-    /// packets (the Fig 4.6 rate sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kbps` is not finite and positive.
-    #[must_use]
-    pub fn audio_rate(
-        flow: FlowId,
-        src: Ipv6Addr,
-        dst: Ipv6Addr,
-        class: ServiceClass,
-        kbps: f64,
-    ) -> Self {
-        assert!(kbps.is_finite() && kbps > 0.0, "rate must be positive");
-        let bits_per_pkt = 160.0 * 8.0;
-        let pps = kbps * 1000.0 / bits_per_pkt;
-        let interval = SimDuration::from_secs_f64(1.0 / pps);
-        CbrSource::new(flow, src, dst, class, 160, interval)
     }
 
     /// Mints the next packet.
@@ -236,15 +210,6 @@ impl UdpSink {
     pub fn max_delay(&self) -> Option<SimDuration> {
         self.delays.iter().map(|&(_, d)| d).max()
     }
-
-    /// Delay of the packet with sequence number `seq`, if it arrived.
-    #[must_use]
-    pub fn delay_of(&self, seq: u64) -> Option<SimDuration> {
-        self.delays
-            .iter()
-            .find(|&&(s, _)| s == seq)
-            .map(|&(_, d)| d)
-    }
 }
 
 #[cfg(test)]
@@ -264,11 +229,6 @@ mod tests {
         let a = CbrSource::audio_64k(FlowId(1), s, d, ServiceClass::RealTime);
         assert_eq!(a.size, 160);
         assert_eq!(a.interval, SimDuration::from_millis(20));
-        let b = CbrSource::audio_128k(FlowId(2), s, d, ServiceClass::RealTime);
-        assert_eq!(b.interval, SimDuration::from_millis(10));
-        // 64 kb/s through the generic constructor.
-        let c = CbrSource::audio_rate(FlowId(3), s, d, ServiceClass::RealTime, 64.0);
-        assert_eq!(c.interval, SimDuration::from_millis(20));
     }
 
     #[test]
@@ -305,10 +265,8 @@ mod tests {
         let mut sink = UdpSink::new(FlowId(1));
         let p = src.next_packet(SimTime::from_millis(100));
         sink.on_packet(SimTime::from_millis(112), &p);
-        assert_eq!(sink.delay_of(0), Some(SimDuration::from_millis(12)));
         assert_eq!(sink.mean_delay(), Some(SimDuration::from_millis(12)));
         assert_eq!(sink.max_delay(), Some(SimDuration::from_millis(12)));
-        assert_eq!(sink.delay_of(99), None);
     }
 
     #[test]
@@ -323,18 +281,6 @@ mod tests {
         sink.on_packet(SimTime::from_millis(3), &other.next_packet(SimTime::ZERO));
         assert_eq!(sink.received(), 1);
         assert_eq!(sink.duplicates(), 1);
-    }
-
-    #[test]
-    fn rate_sweep_intervals_shrink() {
-        let (s, d) = addrs();
-        let rates = [51.2, 85.3, 142.2, 426.7];
-        let mut last = SimDuration::MAX;
-        for (i, &r) in rates.iter().enumerate() {
-            let src = CbrSource::audio_rate(FlowId(i as u32), s, d, ServiceClass::RealTime, r);
-            assert!(src.interval < last, "interval must shrink as rate grows");
-            last = src.interval;
-        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn emit_l2<S: RadioWorld>(ctx: &mut NetCtx<'_, S>, mh: NodeId, event: L2Event) {
     ctx.shared
         .stats_mut()
         .trace
-        .push(now, fh_net::trace::TraceEvent::L2 { mh, event });
+        .record(now, fh_net::trace::TraceEvent::L2 { mh, event });
     ctx.send_at(mh, now, NetMsg::L2(event));
 }
 

@@ -154,12 +154,6 @@ impl MihEngine {
         }
         None
     }
-
-    /// `true` while the engine considers the serving link up.
-    #[must_use]
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +180,7 @@ mod tests {
                     break;
                 }
             }
-            if !e.is_up() {
+            if !e.up {
                 // The link failed; emit the trailing LinkDown if the
                 // cascade started with LinkGoingDown.
                 events.push(MihEvent::LinkDown);
@@ -269,7 +263,7 @@ mod tests {
                     Some(MihEvent::LinkDown) => downs += 1,
                     _ => {}
                 }
-                if !e.is_up() {
+                if !e.up {
                     downs += 1;
                     // The radio re-attaches (blackout flapping): new epoch.
                     e.on_attach();
@@ -291,7 +285,7 @@ mod tests {
         assert_eq!(e.on_detach(), Some(MihEvent::LinkDown));
         assert_eq!(e.on_detach(), None, "already down");
         assert_eq!(e.on_sample(-30.0), None, "samples while down are inert");
-        assert!(!e.is_up());
+        assert!(!e.up);
     }
 
     #[test]

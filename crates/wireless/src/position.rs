@@ -161,24 +161,6 @@ impl Mobility {
             }
         }
     }
-
-    /// `true` once the model will never move again after `t`.
-    #[must_use]
-    pub fn is_settled_at(&self, t: SimTime) -> bool {
-        match *self {
-            Mobility::Stationary(_) => true,
-            Mobility::Linear {
-                from,
-                to,
-                speed,
-                depart,
-            } => {
-                let elapsed = t.saturating_since(depart).as_secs_f64();
-                elapsed * speed >= from.distance(to)
-            }
-            Mobility::PingPong { .. } => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +181,6 @@ mod tests {
         let m = Mobility::Stationary(p);
         assert_eq!(m.position_at(SimTime::ZERO), p);
         assert_eq!(m.position_at(SimTime::from_secs(1000)), p);
-        assert!(m.is_settled_at(SimTime::ZERO));
     }
 
     #[test]
@@ -209,8 +190,6 @@ mod tests {
         assert!((m.position_at(SimTime::from_secs(5)).x - 50.0).abs() < 1e-9);
         let done = m.position_at(SimTime::from_secs(22));
         assert!((done.x - 212.0).abs() < 1e-9);
-        assert!(!m.is_settled_at(SimTime::from_secs(21)));
-        assert!(m.is_settled_at(SimTime::from_millis(21_200)));
     }
 
     #[test]
@@ -240,7 +219,6 @@ mod tests {
                 .abs()
                 < 1e-9
         );
-        assert!(!m.is_settled_at(SimTime::from_secs(1_000_000)));
     }
 
     #[test]

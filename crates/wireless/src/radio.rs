@@ -233,15 +233,6 @@ impl RadioEnv {
         &self.aps
     }
 
-    /// The AP co-located with `router`, if any.
-    #[must_use]
-    pub fn ap_of_router(&self, router: NodeId) -> Option<ApId> {
-        self.aps
-            .iter()
-            .find(|ap| ap.router == router)
-            .map(|ap| ap.id)
-    }
-
     /// APs whose coverage disc contains `p`, nearest first; equal
     /// distances keep AP index order.
     #[must_use]
@@ -308,12 +299,6 @@ impl RadioEnv {
         self.aux.remove(&mh)
     }
 
-    /// Drops every association of `mh` at once (power-off / crash).
-    pub fn detach_all(&mut self, mh: NodeId) {
-        self.attachments.remove(&mh);
-        self.aux.remove(&mh);
-    }
-
     /// The AP `mh`'s secondary interface is associated with, if any.
     #[must_use]
     pub fn aux_attachment(&self, mh: NodeId) -> Option<ApId> {
@@ -367,12 +352,6 @@ impl RadioEnv {
         self.busy_until[idx] = start + tx;
         self.airtime_frames += 1;
         self.busy_until[idx] + spec.delay
-    }
-
-    /// When `ap`'s channel next becomes idle.
-    #[must_use]
-    pub fn channel_idle_at(&self, ap: ApId) -> SimTime {
-        self.busy_until[ap.0 as usize]
     }
 }
 
@@ -564,7 +543,7 @@ mod tests {
         let ap = env.add_ap(ar, Position::new(0.0, 0.0), 112.0);
         assert!(env.ap(ap).covers(Position::new(111.9, 0.0)));
         assert!(!env.ap(ap).covers(Position::new(112.1, 0.0)));
-        assert_eq!(env.ap_of_router(ar), Some(ap));
+        assert_eq!(env.ap(ap).router, ar);
     }
 
     #[test]
@@ -728,7 +707,7 @@ mod tests {
         let ap = radio.add_ap(NodeId::from_index(0), Position::default(), 100.0);
         let arrival = radio.reserve_airtime(SimTime::from_secs(1), ap, u32::MAX);
         assert_eq!(arrival, SimTime::MAX);
-        assert_eq!(radio.channel_idle_at(ap), SimTime::MAX);
+        assert_eq!(radio.busy_until[ap.0 as usize], SimTime::MAX);
     }
 
     #[test]
@@ -893,7 +872,7 @@ mod tests {
         assert_eq!(env.detach_aux(mh), Some(wlan));
         assert!(!env.is_attached(mh, wlan));
         assert!(env.is_attached(mh, cell));
-        env.detach_all(mh);
+        assert_eq!(env.detach(mh), Some(cell));
         assert!(!env.is_attached(mh, cell));
         assert_eq!(env.promote_aux(mh), None, "nothing to promote");
     }

@@ -88,17 +88,6 @@ impl SignalModel {
         10f64.powf((self.tx_power_dbm - self.sensitivity_dbm) / (10.0 * self.path_loss_exponent))
     }
 
-    /// The distance at which a trigger against an equidistant neighbor
-    /// becomes possible: where the serving signal has faded within
-    /// `margin_db` of the sensitivity floor.
-    #[must_use]
-    pub fn trigger_range_m(&self, margin_db: f64) -> f64 {
-        10f64.powf(
-            (self.tx_power_dbm - (self.sensitivity_dbm + margin_db))
-                / (10.0 * self.path_loss_exponent),
-        )
-    }
-
     /// The same propagation environment re-budgeted so the usable range
     /// equals `range_m`: only the transmit power changes (exponent,
     /// sensitivity and hysteresis stay put). A wide-area sector has a link
@@ -173,21 +162,9 @@ mod tests {
             assert!((s.usable_range_m() - range).abs() < 1e-6, "range {range}");
             assert_eq!(s.sensitivity_dbm, m.sensitivity_dbm);
             assert_eq!(s.path_loss_exponent, m.path_loss_exponent);
-            // The going-down margin maps to the same *fraction* of the
-            // cell at every scale: media-independent trigger lead time.
-            let frac = s.trigger_range_m(8.0) / range;
-            let base = m.trigger_range_m(8.0) / m.usable_range_m();
-            assert!((frac - base).abs() < 1e-9);
         }
         // Scaling to the model's own range is the identity.
         let id = m.scaled_to_range(m.usable_range_m());
         assert!((id.tx_power_dbm - m.tx_power_dbm).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trigger_range_is_inside_usable_range() {
-        let m = SignalModel::default();
-        assert!(m.trigger_range_m(5.0) < m.usable_range_m());
-        assert!(m.trigger_range_m(0.0) - m.usable_range_m() < 1e-9);
     }
 }

@@ -70,18 +70,6 @@ impl RadioTechnology {
             RadioTechnology::Cellular => 1_500.0,
         }
     }
-
-    /// `true` if switching *onto* this technology forces the serving radio
-    /// through an L2 black-out. WLAN does (one card, one channel); cellular
-    /// does not — a multi-homed host brings the second radio up while the
-    /// first keeps receiving.
-    #[must_use]
-    pub fn micro_blackout(self) -> bool {
-        match self {
-            RadioTechnology::Wlan => true,
-            RadioTechnology::Cellular => false,
-        }
-    }
 }
 
 /// Identifier of one radio interface on a multi-homed mobile host.
@@ -94,8 +82,6 @@ impl RadioTechnology {
 pub struct IfaceId(pub u8);
 
 impl IfaceId {
-    /// The primary (WLAN) interface every host has.
-    pub const PRIMARY: IfaceId = IfaceId(0);
     /// The wide-area secondary interface of a multi-homed host.
     pub const WIDE_AREA: IfaceId = IfaceId(1);
 }
@@ -115,7 +101,6 @@ mod tests {
         let spec = RadioTechnology::Wlan.default_spec();
         assert_eq!(spec, WirelessSpec::default_80211b());
         assert!((RadioTechnology::Wlan.default_radius_m() - 112.0).abs() < f64::EPSILON);
-        assert!(RadioTechnology::Wlan.micro_blackout());
     }
 
     #[test]
@@ -127,16 +112,15 @@ mod tests {
         assert!(
             RadioTechnology::Cellular.default_radius_m() > RadioTechnology::Wlan.default_radius_m()
         );
-        assert!(!RadioTechnology::Cellular.micro_blackout());
     }
 
     #[test]
     fn labels_and_iface_display() {
         assert_eq!(RadioTechnology::Wlan.label(), "wlan");
         assert_eq!(RadioTechnology::Cellular.label(), "cellular");
-        assert_eq!(IfaceId::PRIMARY.to_string(), "if0");
+        assert_eq!(IfaceId(0).to_string(), "if0");
         assert_eq!(IfaceId::WIDE_AREA.to_string(), "if1");
-        assert!(IfaceId::PRIMARY < IfaceId::WIDE_AREA);
+        assert!(IfaceId(0) < IfaceId::WIDE_AREA);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use fh_net::ServiceClass;
+use fh_net::{render_trace, ServiceClass};
 use fh_scenarios::{HmipConfig, HmipScenario};
 use fh_sim::SimTime;
 
@@ -83,12 +83,7 @@ fn main() {
     println!("handoffs completed: {}", scenario.mh_agent(0).handoffs);
 
     println!("\nprotocol trace (control + L2 + drops):");
-    for line in scenario
-        .sim
-        .shared
-        .stats
-        .trace
-        .render()
+    for line in render_trace(&scenario.sim.shared.stats.trace)
         .lines()
         .filter(|l| !l.contains("ctrl RA"))
         .take(24)

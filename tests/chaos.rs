@@ -59,7 +59,7 @@ fn handover_terminates_under_total_control_plane_loss() {
         1 + max_retries,
         "HI sends must be capped by the retry budget"
     );
-    assert_eq!(s.sim.shared.stats.counter("ar.hi_exhausted"), 1);
+    assert_eq!(s.par_agent().metrics.hi_exhausted, 1);
 
     // The exchange degraded instead of wedging: the host still moved,
     // re-attached at the NAR, and resolved its attempt.

@@ -5,7 +5,7 @@
 //! the protocol definition.
 
 use fh_core::HandoffPhase;
-use fh_net::ServiceClass;
+use fh_net::{render_trace, ServiceClass};
 use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan};
 use fh_sim::{SimDuration, SimTime};
 
@@ -232,7 +232,7 @@ fn protocol_trace_captures_the_fig_3_2_choreography() {
     let _ = scenario.add_audio_64k(0, ServiceClass::HighPriority);
     scenario.set_traffic_window(SimTime::from_millis(500), SimTime::from_secs(14));
     scenario.run_until(SimTime::from_secs(16));
-    let rendered = scenario.sim.shared.stats.trace.render();
+    let rendered = render_trace(&scenario.sim.shared.stats.trace);
     // The Fig 3.2 messages appear, in order.
     let order = [
         "RtSolPr", "ctrl HI", "HAck", "PrRtAdv", "ctrl FBU", "FBAck", "LinkDown", "LinkUp",
