@@ -129,12 +129,6 @@ impl ArAgent {
         self.dp.node
     }
 
-    /// Records the node this agent runs on (topology builders: the real
-    /// `NodeId` is only known once the actor is registered).
-    pub fn set_node(&mut self, node: NodeId) {
-        self.dp.node = node;
-    }
-
     /// The handover buffer pool (owned by the datapath).
     #[must_use]
     pub fn pool(&self) -> &BufferPool {
@@ -145,11 +139,6 @@ impl ArAgent {
     #[must_use]
     pub fn aps(&self) -> &[ApId] {
         &self.dp.aps
-    }
-
-    /// Replaces this router's set of access points (topology builders).
-    pub fn set_aps(&mut self, aps: Vec<ApId>) {
-        self.dp.aps = aps;
     }
 
     /// Teaches this router which address serves a (foreign) access point,

@@ -64,8 +64,6 @@ pub enum TimerKind {
     TcpTick,
     /// Application-level custom timer.
     App(u32),
-    /// The radio completes a detach at this instant.
-    Detach,
     /// The radio completes an attach at this instant.
     Attach,
     /// Buffer reservation: auto-start buffering (BI start-time field).
@@ -74,8 +72,6 @@ pub enum TimerKind {
     BufferLifetime,
     /// Paced flush of a handover buffer: send the next buffered packet.
     FlushStep,
-    /// Mobile IP binding lifetime expiry.
-    BindingLifetime,
     /// Retransmission timer for an unanswered RtSolPr+BI (mobile host).
     RtxSolicit,
     /// Retransmission timer for an unanswered HI+BR (previous AR).

@@ -22,10 +22,9 @@ use fh_core::{ProtocolConfig, Scheme};
 use fh_net::{ControlMsg, FlowId, ServiceClass};
 use fh_sim::{derive_seed, SimDuration, SimTime};
 
-use crate::hmip::{HmipConfig, HmipScenario, MovementPlan};
+use crate::hmip::{HmipConfig, HmipScenario, MovementPlan, WlanConfig};
 use crate::plan::{corpus_plan, run_plan, Axis, PlanOutcome, PointRun};
 use crate::sweep::parallel_map;
-use crate::wlan::{WlanConfig, WlanScenario};
 
 // ---------------------------------------------------------------------
 // Fig 4.2 — buffer utilization
@@ -402,34 +401,19 @@ pub fn tcp_l2_handoff(buffering: bool, seed: u64) -> TcpHandoffResult {
         seed,
         ..WlanConfig::default()
     };
-    let mut scenario = WlanScenario::build(cfg);
+    let mut scenario = HmipScenario::wlan(cfg);
     scenario.run_until(SimTime::from_secs(12));
 
     let tx = scenario.tcp_sender();
     let rx = scenario.tcp_receiver();
-    let sent = tx
-        .trace
-        .sent
-        .iter()
-        .map(|&(t, s)| (t.as_secs_f64(), s))
-        .collect();
-    let acked = tx
-        .trace
-        .acked
-        .iter()
-        .map(|&(t, s)| (t.as_secs_f64(), s))
-        .collect();
-    let received = rx
-        .trace
-        .received
-        .iter()
-        .map(|&(t, s)| (t.as_secs_f64(), s))
-        .collect();
+    let secs = |trace: &[(SimTime, u64)]| -> Vec<(f64, u64)> {
+        trace.iter().map(|&(t, s)| (t.as_secs_f64(), s)).collect()
+    };
     let timeouts = tx.trace.timeouts.iter().map(|&t| t.as_secs_f64()).collect();
 
     // Black-out window from the host's L2 log: the first LinkDown, and
     // the first LinkUp after it (earlier LinkUps are the boot attach).
-    let log = &scenario.mh_agent().log;
+    let log = &scenario.mh_agent(0).log;
     let down = log
         .iter()
         .find(|(_, p)| *p == fh_core::HandoffPhase::LinkDown)
@@ -453,9 +437,9 @@ pub fn tcp_l2_handoff(buffering: bool, seed: u64) -> TcpHandoffResult {
 
     TcpHandoffResult {
         buffering,
-        sent,
-        acked,
-        received,
+        sent: secs(&tx.trace.sent),
+        acked: secs(&tx.trace.acked),
+        received: secs(&rx.trace.received),
         timeouts,
         blackout,
         throughput,

@@ -1,37 +1,24 @@
-//! The Fig 4.1 scenario: a hierarchical Mobile IPv6 access network.
-//!
-//! ```text
-//!                 CN
-//!                  |
-//!                 MAP          (HMIPv6 anchor, RCoA prefix)
-//!                /   \
-//!             PAR --- NAR      (fast-handover access routers)
-//!              |       |
-//!            (AP0)   (AP1)     x = 0 m      x = 212 m, radius 112 m
-//!                 MH(s) →      10 m/s
-//! ```
-//!
-//! Parameters follow §4.1 of the thesis: 212 m AP separation, 112 m
-//! coverage (12 m overlap), 1 s router advertisements, 200 ms link-layer
-//! black-out, 10 m/s hosts. Everything else (link speeds, buffer sizes,
-//! the PAR↔NAR delay that Figs 4.9/4.10 sweep) is configurable.
+//! [`HmipScenario`]: one built world plus its workload and audits. The
+//! thesis' three networks are three specs for the one world builder
+//! (`crate::build`): [`HmipScenario::build`] (Fig 4.1),
+//! [`HmipScenario::wlan`] (Fig 4.11) and [`HmipScenario::roaming`].
 
 use std::net::Ipv6Addr;
 
-use fh_sim::{derive_seed, SimDuration, SimTime, Simulator};
+use fh_sim::{SimDuration, SimTime, Simulator};
 
 use fh_core::{ArAgent, ArSoftState, MhAgent, ProtocolConfig};
-use fh_mip::{MipClient, MobilityAnchor};
+use fh_mip::MobilityAnchor;
 use fh_net::{
-    doc_subnet, ApId, FaultSpec, FlowId, HandoverOutcome, LinkSpec, NetMsg, NodeFaultSpec, NodeId,
-    ServiceClass, TraceEvent,
+    doc_subnet, ApId, ConnId, FaultSpec, FlowId, HandoverOutcome, LinkSpec, NetMsg, NodeFaultSpec,
+    NodeId, ServiceClass, TraceEvent,
 };
+use fh_tcp::{TcpConfig, TcpReceiver, TcpSender};
 use fh_telemetry::{ChromeTrace, Span, SpanStore};
 use fh_traffic::{CbrSource, UdpSink};
-use fh_wireless::{
-    MhRadio, Mobility, Position, RadioConfig, RadioTechnology, TriggerMode, WirelessSpec,
-};
+use fh_wireless::{Mobility, Position, RadioConfig, RadioTechnology, TriggerMode, WirelessSpec};
 
+use crate::build::{build, AnchorSpec, ApSpec, HostSpec, Role, RouterSpec, WorldSpec};
 use crate::nodes::{ArNode, CnNode, MapNode, MhNode};
 use crate::world::World;
 
@@ -222,325 +209,334 @@ pub mod geometry {
     pub const PP_RIGHT: f64 = 152.0;
 }
 
+/// Configuration of the Fig 4.11 world ([`HmipScenario::wlan`]).
+#[derive(Debug, Clone, Copy)]
+pub struct WlanConfig {
+    /// Protocol parameters; `scheme.buffers()` decides whether the AR
+    /// buffers during the L2 handoff.
+    pub protocol: ProtocolConfig,
+    /// AR buffer capacity in packets.
+    pub buffer_capacity: usize,
+    /// L2 black-out duration.
+    pub l2_handoff_delay: SimDuration,
+    /// Wireless channel (11 Mb/s 802.11b by default).
+    pub wireless: WirelessSpec,
+    /// TCP parameters (Reno, 500 ms ticks).
+    pub tcp: TcpConfig,
+    /// RNG seed.
+    pub seed: u64,
+}
+
+impl Default for WlanConfig {
+    fn default() -> Self {
+        WlanConfig {
+            protocol: ProtocolConfig::proposed(),
+            buffer_capacity: 40,
+            l2_handoff_delay: SimDuration::from_millis(200),
+            wireless: WirelessSpec::default_80211b(),
+            tcp: TcpConfig::default(),
+            seed: 7,
+        }
+    }
+}
+
+/// Configuration of the two-MAP-domain roaming world
+/// ([`HmipScenario::roaming`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RoamingConfig {
+    /// Protocol parameters for the fast handover in the middle.
+    pub protocol: ProtocolConfig,
+    /// Buffer capacity per access router.
+    pub buffer_capacity: usize,
+    /// L2 black-out duration.
+    pub l2_handoff_delay: SimDuration,
+    /// Enable route optimization: the host sends the correspondent binding
+    /// updates so traffic bypasses the home agent (§2.2.1 step 2).
+    pub route_optimization: bool,
+    /// RNG seed.
+    pub seed: u64,
+}
+
+impl Default for RoamingConfig {
+    fn default() -> Self {
+        RoamingConfig {
+            protocol: ProtocolConfig::proposed(),
+            buffer_capacity: 20,
+            l2_handoff_delay: SimDuration::from_millis(200),
+            route_optimization: false,
+            seed: 23,
+        }
+    }
+}
+
 /// A flow registered in the scenario.
 #[derive(Debug, Clone, Copy)]
-struct FlowEntry {
+pub(crate) struct FlowEntry {
     flow: FlowId,
     cbr_index: usize,
     mh_index: usize,
     sink_index: usize,
 }
 
-/// The built Fig 4.1 scenario.
+/// A built world: the simulator, its nodes by role, the registered flows.
 pub struct HmipScenario {
     /// The simulator, ready to run.
     pub sim: Simulator<NetMsg, World>,
-    /// Correspondent node.
+    /// Correspondent node (actor 0).
     pub cn: NodeId,
-    /// The MAP router.
-    pub map: NodeId,
-    /// Previous access router (hosts start here).
-    pub par: NodeId,
-    /// New access router.
-    pub nar: NodeId,
+    /// Home agent and MAPs, in spec order (Fig 4.1: the MAP; roaming: HA,
+    /// MAP1, MAP2).
+    pub anchors: Vec<NodeId>,
+    /// Access routers, in spec order (Fig 4.1: PAR, NAR; Fig 4.11: the AR;
+    /// roaming: AR1, AR2).
+    pub routers: Vec<NodeId>,
+    /// Access points, router by router (Fig 4.1: the PAR's, then the NAR's).
+    pub aps: Vec<ApId>,
     /// Mobile host nodes.
     pub mhs: Vec<NodeId>,
-    /// Each host's regional care-of address (traffic destination).
-    pub rcoas: Vec<Ipv6Addr>,
-    /// The PAR's address.
-    pub par_addr: Ipv6Addr,
-    /// The NAR's address.
-    pub nar_addr: Ipv6Addr,
-    /// The MAP's address.
-    pub map_addr: Ipv6Addr,
-    /// The PAR-side AP.
-    pub par_ap: ApId,
-    /// The NAR-side AP.
-    pub nar_ap: ApId,
-    flows: Vec<FlowEntry>,
-    next_flow: u32,
+    /// Each host's traffic address: its home address, which in Fig 4.1 is
+    /// its regional care-of address.
+    pub mh_addrs: Vec<Ipv6Addr>,
+    pub(crate) flows: Vec<FlowEntry>,
+    /// The id the next registered flow gets; flows count from 1.
+    pub(crate) next_flow: u32,
 }
 
 impl HmipScenario {
-    /// Builds the scenario.
+    /// Builds the Fig 4.1 world, a hierarchical Mobile IPv6 access network:
+    ///
+    /// ```text
+    ///                 CN
+    ///                  |
+    ///                 MAP          (HMIPv6 anchor, RCoA prefix)
+    ///                /   \
+    ///             PAR --- NAR      (fast-handover access routers)
+    ///              |       |
+    ///            (AP0)   (AP1)     x = 0 m      x = 212 m, radius 112 m
+    ///                 MH(s) →      10 m/s
+    /// ```
+    ///
+    /// Parameters follow §4.1 of the thesis: 212 m AP separation, 112 m
+    /// coverage (12 m overlap), 1 s router advertisements, 200 ms black-out,
+    /// 10 m/s hosts. Link speeds, buffer sizes and the PAR↔NAR delay that
+    /// Figs 4.9/4.10 sweep are configurable.
     #[must_use]
     pub fn build(cfg: HmipConfig) -> Self {
-        let mut sim: Simulator<NetMsg, World> = Simulator::new(World::new(cfg.wireless), cfg.seed);
-
-        // Prefixes and addresses.
-        let cn_prefix = doc_subnet(0);
-        let par_prefix = doc_subnet(1);
-        let nar_prefix = doc_subnet(2);
-        let map_prefix = doc_subnet(10);
-        let cn_addr = cn_prefix.host(1);
-        let par_addr = par_prefix.host(1);
-        let nar_addr = nar_prefix.host(1);
-        let map_addr = map_prefix.host(1);
-
-        // Actors.
-        let cn = sim.add_actor(Box::new(CnNode::new(
-            // placeholder id, patched right below (actor ids are assigned
-            // by the simulator at insertion).
-            fh_net::Topology::new().add_node("tmp"),
-        )));
-        sim.actor_mut::<CnNode>(cn).expect("cn").node = cn;
-
-        let map_anchor_node = sim.add_actor(Box::new(MapNode {
-            anchor: MobilityAnchor::map(
-                fh_net::Topology::new().add_node("tmp"),
-                map_addr,
-                map_prefix,
-            ),
-        }));
-        sim.actor_mut::<MapNode>(map_anchor_node)
-            .expect("map")
-            .anchor
-            .node = map_anchor_node;
-
-        // Radio environment first (AP ids needed by the AR agents).
-        let par_node = sim.add_actor(Box::new(ArNode {
-            agent: ArAgent::new(
-                fh_net::Topology::new().add_node("tmp"),
-                par_addr,
-                par_prefix,
-                Vec::new(),
-                map_addr,
-                cfg.protocol,
-                cfg.buffer_capacity,
-            ),
-        }));
-        let nar_node = sim.add_actor(Box::new(ArNode {
-            agent: ArAgent::new(
-                fh_net::Topology::new().add_node("tmp"),
-                nar_addr,
-                nar_prefix,
-                Vec::new(),
-                map_addr,
-                cfg.protocol,
-                cfg.buffer_capacity,
-            ),
-        }));
-        let par_ap =
-            sim.shared
-                .radio
-                .add_ap(par_node, Position::new(0.0, 0.0), geometry::COVERAGE_RADIUS);
         let nar_ap = match cfg.cellular {
-            Some(cell) => {
-                sim.shared.radio.set_cellular_spec(cell.spec);
-                sim.shared.radio.add_ap_tech(
-                    nar_node,
-                    Position::new(geometry::AP_SEPARATION, 0.0),
-                    cell.radius,
-                    RadioTechnology::Cellular,
-                )
-            }
-            None => sim.shared.radio.add_ap(
-                nar_node,
-                Position::new(geometry::AP_SEPARATION, 0.0),
-                geometry::COVERAGE_RADIUS,
-            ),
+            Some(cell) => ApSpec {
+                pos: Position::new(geometry::AP_SEPARATION, 0.0),
+                radius: cell.radius,
+                tech: RadioTechnology::Cellular,
+            },
+            None => ApSpec::wlan(geometry::AP_SEPARATION, geometry::COVERAGE_RADIUS),
         };
-        {
-            let par_agent = &mut sim.actor_mut::<ArNode>(par_node).expect("par").agent;
-            par_agent.set_node(par_node);
-            par_agent.set_aps(vec![par_ap]);
-            par_agent.learn_ap(nar_ap, nar_addr);
-            par_agent.node_fault = cfg.par_fault;
-        }
-        {
-            let nar_agent = &mut sim.actor_mut::<ArNode>(nar_node).expect("nar").agent;
-            nar_agent.set_node(nar_node);
-            nar_agent.set_aps(vec![nar_ap]);
-            nar_agent.learn_ap(par_ap, par_addr);
-            nar_agent.node_fault = cfg.nar_fault;
-        }
-
-        // Mobile hosts.
-        let mut mhs = Vec::new();
-        let mut rcoas = Vec::new();
-        for i in 0..cfg.n_mhs {
-            let iid = 0x100 + i as u64;
-            let rcoa = map_prefix.host(iid);
-            let eastbound = i % 2 == 0;
-            // Storm stagger: push host i's start back along the walk so it
-            // reaches the cell edge i × storm_stagger later. The offset is
-            // clamped to keep the start inside PAR coverage (and outside
-            // the NAR's), so very large storms saturate the window instead
-            // of spawning hosts out of range.
-            let stagger_x = (cfg.speed * cfg.storm_stagger.as_secs_f64() * i as f64)
-                .min(geometry::WALK_START + geometry::COVERAGE_RADIUS - 22.0);
-            let mobility = match cfg.movement {
-                MovementPlan::OneWay => Mobility::linear(
-                    Position::new(geometry::WALK_START - stagger_x, 0.0),
-                    Position::new(geometry::AP_SEPARATION, 0.0),
-                    cfg.speed,
-                ),
-                MovementPlan::PingPong => Mobility::ping_pong(
-                    Position::new(geometry::PP_LEFT, 0.0),
-                    Position::new(geometry::PP_RIGHT, 0.0),
-                    cfg.speed,
-                ),
-                MovementPlan::Parked => Mobility::Stationary(Position::new(0.0, 0.0)),
-                MovementPlan::Crossing => {
-                    if eastbound {
-                        Mobility::linear(
-                            Position::new(geometry::WALK_START, 0.0),
-                            Position::new(geometry::AP_SEPARATION, 0.0),
-                            cfg.speed,
-                        )
-                    } else {
-                        // The mirror walk, starting under the NAR.
-                        Mobility::linear(
-                            Position::new(geometry::AP_SEPARATION - geometry::WALK_START, 0.0),
-                            Position::new(0.0, 0.0),
-                            cfg.speed,
-                        )
-                    }
+        let radio = RadioConfig {
+            l2_handoff_delay: cfg.l2_handoff_delay,
+            trigger: cfg.trigger,
+            multi_iface: cfg.interfaces > 1,
+            ..RadioConfig::default()
+        };
+        let mut hosts: Vec<HostSpec> = (0..cfg.n_mhs)
+            .map(|i| {
+                let eastbound = i % 2 == 0;
+                // Storm stagger: push host i's start back along the walk so
+                // it reaches the cell edge i × storm_stagger later. The
+                // offset is clamped to keep the start inside PAR coverage
+                // (and outside the NAR's), so very large storms saturate
+                // the window instead of spawning hosts out of range.
+                let stagger_x = (cfg.speed * cfg.storm_stagger.as_secs_f64() * i as f64)
+                    .min(geometry::WALK_START + geometry::COVERAGE_RADIUS - 22.0);
+                let mobility = match cfg.movement {
+                    MovementPlan::OneWay => Mobility::linear(
+                        Position::new(geometry::WALK_START - stagger_x, 0.0),
+                        Position::new(geometry::AP_SEPARATION, 0.0),
+                        cfg.speed,
+                    ),
+                    MovementPlan::PingPong => Mobility::ping_pong(
+                        Position::new(geometry::PP_LEFT, 0.0),
+                        Position::new(geometry::PP_RIGHT, 0.0),
+                        cfg.speed,
+                    ),
+                    MovementPlan::Parked => Mobility::Stationary(Position::new(0.0, 0.0)),
+                    MovementPlan::Crossing if eastbound => Mobility::linear(
+                        Position::new(geometry::WALK_START, 0.0),
+                        Position::new(geometry::AP_SEPARATION, 0.0),
+                        cfg.speed,
+                    ),
+                    // The mirror walk, starting under the NAR.
+                    MovementPlan::Crossing => Mobility::linear(
+                        Position::new(geometry::AP_SEPARATION - geometry::WALK_START, 0.0),
+                        Position::new(0.0, 0.0),
+                        cfg.speed,
+                    ),
+                };
+                HostSpec {
+                    // Westbound crossing hosts start under the NAR.
+                    start: usize::from(cfg.movement == MovementPlan::Crossing && !eastbound),
+                    ..HostSpec::new(0x100 + i as u64, mobility, radio)
                 }
-            };
-            let mh_node = sim.add_actor(Box::new(MhNode::new(MhAgent::new(
-                fh_net::Topology::new().add_node("tmp"),
-                MhRadio::new(
-                    fh_net::Topology::new().add_node("tmp"),
-                    mobility.clone(),
-                    RadioConfig {
-                        l2_handoff_delay: cfg.l2_handoff_delay,
-                        trigger: cfg.trigger,
-                        multi_iface: cfg.interfaces > 1,
-                        ..RadioConfig::default()
-                    },
-                ),
-                MipClient::new(rcoa, map_addr, SimDuration::from_secs(600)),
-                cfg.protocol,
-                iid,
-            ))));
-            {
-                let node = &mut sim.actor_mut::<MhNode>(mh_node).expect("mh").agent;
-                node.node = mh_node;
-                node.radio = MhRadio::new(
-                    mh_node,
-                    mobility,
-                    RadioConfig {
-                        l2_handoff_delay: cfg.l2_handoff_delay,
-                        trigger: cfg.trigger,
-                        multi_iface: cfg.interfaces > 1,
-                        ..RadioConfig::default()
-                    },
-                );
-                node.mip.enter_map_domain(map_addr, rcoa);
-                if i == 0 {
-                    node.node_fault = cfg.mh_fault;
-                }
-                if cfg.movement == MovementPlan::Crossing && i % 2 == 1 {
-                    // Westbound hosts start under the NAR.
-                    node.configure_initial(nar_ap, nar_addr, nar_prefix);
-                } else {
-                    node.configure_initial(par_ap, par_addr, par_prefix);
-                }
-            }
-            mhs.push(mh_node);
-            rcoas.push(rcoa);
+            })
+            .collect();
+        if let Some(host) = hosts.first_mut() {
+            host.fault = cfg.mh_fault;
         }
+        let backbone = LinkSpec::new(10_000_000, SimDuration::from_millis(10), 100);
+        let distribution = LinkSpec::new(10_000_000, SimDuration::from_millis(5), 100);
+        build(WorldSpec {
+            wireless: cfg.wireless,
+            cellular: cfg.cellular.map(|cell| cell.spec),
+            seed: cfg.seed,
+            protocol: cfg.protocol,
+            buffer_capacity: cfg.buffer_capacity,
+            anchors: vec![AnchorSpec {
+                name: "map",
+                prefix: doc_subnet(10),
+                home_agent: false,
+            }],
+            routers: vec![
+                RouterSpec {
+                    fault: cfg.par_fault,
+                    ..RouterSpec::new(
+                        "par",
+                        doc_subnet(1),
+                        Some(0),
+                        vec![ApSpec::wlan(0.0, geometry::COVERAGE_RADIUS)],
+                    )
+                },
+                RouterSpec {
+                    fault: cfg.nar_fault,
+                    ..RouterSpec::new("nar", doc_subnet(2), Some(0), vec![nar_ap])
+                },
+            ],
+            hosts,
+            links: vec![
+                (Role::Cn, Role::Anchor(0), backbone),
+                (Role::Anchor(0), Role::Router(0), distribution),
+                (Role::Anchor(0), Role::Router(1), distribution),
+            ],
+            peer_link: Some(LinkSpec::new(10_000_000, cfg.ar_link_delay, 100)),
+            wireless_fault: cfg.wireless_fault,
+            peer_link_fault: cfg.ar_link_fault,
+        })
+    }
 
-        // Wired topology.
-        let inter_ar_link;
-        {
-            let topo = &mut sim.shared.topo;
-            topo.register_node(cn, "cn");
-            topo.register_node(map_anchor_node, "map");
-            topo.register_node(par_node, "par");
-            topo.register_node(nar_node, "nar");
-            for (i, &mh) in mhs.iter().enumerate() {
-                topo.register_node(mh, format!("mh{i}"));
-            }
-            let backbone = LinkSpec::new(10_000_000, SimDuration::from_millis(10), 100);
-            let distribution = LinkSpec::new(10_000_000, SimDuration::from_millis(5), 100);
-            let inter_ar = LinkSpec::new(10_000_000, cfg.ar_link_delay, 100);
-            topo.add_link(cn, map_anchor_node, backbone);
-            topo.add_link(map_anchor_node, par_node, distribution);
-            topo.add_link(map_anchor_node, nar_node, distribution);
-            let ar_link = topo.add_link(par_node, nar_node, inter_ar);
-            inter_ar_link = Some(ar_link);
-            topo.add_prefix(cn_prefix, cn);
-            topo.add_prefix(map_prefix, map_anchor_node);
-            topo.add_prefix(par_prefix, par_node);
-            topo.add_prefix(nar_prefix, nar_node);
-            topo.compute_routes();
-        }
+    /// Builds the Fig 4.11 world — one access router, two cells under the
+    /// *same prefix* — with a greedy FTP/TCP transfer from the CN to the
+    /// host, starting at 500 ms:
+    ///
+    /// ```text
+    ///    CN ——— AR ——— (AP0)   (AP1)
+    ///                    ↑  MH  →      same subnet, two cells
+    /// ```
+    ///
+    /// Moving between the cells is a pure L2 handoff: no new care-of
+    /// address, just a 200 ms black-out. Only the thesis' scheme buffers
+    /// here (Fig 3.5), which rescues the TCP connection in Figs 4.12–4.14.
+    #[must_use]
+    pub fn wlan(cfg: WlanConfig) -> Self {
+        // Two cells 100 m apart with 70 m radius: overlap x ∈ [30, 70]. The
+        // host walks from cell 0 into cell 1.
+        let cells = vec![ApSpec::wlan(0.0, 70.0), ApSpec::wlan(100.0, 70.0)];
+        let walk = Mobility::linear(Position::new(0.0, 0.0), Position::new(100.0, 0.0), 10.0);
+        let radio = RadioConfig {
+            l2_handoff_delay: cfg.l2_handoff_delay,
+            ..RadioConfig::default()
+        };
+        let mut s = build(WorldSpec {
+            wireless: cfg.wireless,
+            cellular: None,
+            seed: cfg.seed,
+            protocol: cfg.protocol,
+            buffer_capacity: cfg.buffer_capacity,
+            anchors: Vec::new(),
+            routers: vec![RouterSpec::new("ar", doc_subnet(1), None, cells)],
+            hosts: vec![HostSpec::new(0x99, walk, radio)],
+            links: vec![(
+                Role::Cn,
+                Role::Router(0),
+                LinkSpec::new(100_000_000, SimDuration::from_millis(5), 100),
+            )],
+            peer_link: None,
+            wireless_fault: FaultSpec::default(),
+            peer_link_fault: FaultSpec::default(),
+        });
+        let (flow, conn) = (FlowId(s.next_flow), ConnId(1));
+        s.next_flow += 1;
+        let (cn_addr, mh_addr) = (s.cn_addr(), s.mh_addrs[0]);
+        let class = ServiceClass::BestEffort;
+        let mh = s.sim.actor_mut::<MhNode>(s.mhs[0]).expect("mh");
+        mh.tcp_rx = Some(TcpReceiver::new(conn, flow, mh_addr, cn_addr, class));
+        let cn = s.sim.actor_mut::<CnNode>(s.cn).expect("cn");
+        cn.tcp = Some(TcpSender::new(conn, flow, cn_addr, mh_addr, class, cfg.tcp));
+        s
+    }
 
-        // Fault injection (chaos experiments). Every fault stream gets its
-        // own deterministic seed derived from the scenario seed, so runs
-        // are reproducible and independent of thread count.
-        if !cfg.wireless_fault.is_noop() {
-            sim.shared.radio.set_fault(
-                par_ap,
-                cfg.wireless_fault,
-                derive_seed(cfg.seed, 0xFA01_0000),
-            );
-            sim.shared.radio.set_fault(
-                nar_ap,
-                cfg.wireless_fault,
-                derive_seed(cfg.seed, 0xFA02_0000),
-            );
-        }
-        if !cfg.ar_link_fault.is_noop() {
-            if let Some(link) = inter_ar_link {
-                let l = sim.shared.topo.link_mut(link);
-                l.set_fault(
-                    par_node,
-                    cfg.ar_link_fault,
-                    derive_seed(cfg.seed, 0xFA03_0000),
-                );
-                l.set_fault(
-                    nar_node,
-                    cfg.ar_link_fault,
-                    derive_seed(cfg.seed, 0xFA04_0000),
-                );
-            }
-        }
-
-        // The FMIPv6 tunnel rides the direct inter-AR link regardless of
-        // shortest-path routing (Figs 4.9/4.10 sweep its delay).
-        if let Some(link) = inter_ar_link {
-            sim.actor_mut::<ArNode>(par_node)
-                .expect("par")
-                .agent
-                .learn_peer_link(nar_addr, link);
-            sim.actor_mut::<ArNode>(nar_node)
-                .expect("nar")
-                .agent
-                .learn_peer_link(par_addr, link);
-        }
-
-        // CN address bookkeeping and kick-off events.
-        {
-            let cn_node = sim.actor_mut::<CnNode>(cn).expect("cn");
-            cn_node.node = cn;
-        }
-        for id in [cn, map_anchor_node, par_node, nar_node]
-            .into_iter()
-            .chain(mhs.iter().copied())
-        {
-            sim.schedule(SimTime::ZERO, id, NetMsg::Start);
-        }
-
-        let _ = cn_addr;
-        HmipScenario {
-            sim,
-            cn,
-            map: map_anchor_node,
-            par: par_node,
-            nar: nar_node,
-            mhs,
-            rcoas,
-            par_addr,
-            nar_addr,
-            map_addr,
-            par_ap,
-            nar_ap,
-            flows: Vec::new(),
-            next_flow: 1,
-        }
+    /// Builds chapter 2's roaming world: a host whose traffic goes to its
+    /// **home address** (`mh_addrs[0]`) crosses from one MAP domain into
+    /// another:
+    ///
+    /// ```text
+    ///   CN ── HA ──┬── MAP1 ── AR1 (AP0, x = 0)
+    ///              └── MAP2 ── AR2 (AP1, x = 212)
+    ///                     AR1 ───── AR2   (inter-AR tunnel link)
+    /// ```
+    ///
+    /// The handover is ordinary FMIPv6 with the enhanced buffering. Then
+    /// the host learns MAP2 from the first router advertisement, registers
+    /// a fresh RCoA locally, and sends its home agent the one binding
+    /// update macro movement needs. Until those bindings land, traffic
+    /// keeps flowing through the old chain (HA → MAP1 → the stale LCoA →
+    /// the PAR's tunnel), so the crossing is seamless.
+    #[must_use]
+    pub fn roaming(cfg: RoamingConfig) -> Self {
+        let anchor = |name, subnet, home_agent| AnchorSpec {
+            name,
+            prefix: doc_subnet(subnet),
+            home_agent,
+        };
+        let cell = |x| vec![ApSpec::wlan(x, geometry::COVERAGE_RADIUS)];
+        let walk = Mobility::linear(
+            Position::new(geometry::WALK_START, 0.0),
+            Position::new(geometry::AP_SEPARATION, 0.0),
+            10.0,
+        );
+        let radio = RadioConfig {
+            l2_handoff_delay: cfg.l2_handoff_delay,
+            ..RadioConfig::default()
+        };
+        let backbone = LinkSpec::new(10_000_000, SimDuration::from_millis(10), 100);
+        let distribution = LinkSpec::new(10_000_000, SimDuration::from_millis(5), 100);
+        build(WorldSpec {
+            wireless: HmipConfig::default().wireless,
+            cellular: None,
+            seed: cfg.seed,
+            protocol: cfg.protocol,
+            buffer_capacity: cfg.buffer_capacity,
+            anchors: vec![
+                anchor("ha", 100, true),
+                anchor("map1", 10, false),
+                anchor("map2", 20, false),
+            ],
+            routers: vec![
+                RouterSpec::new("ar1", doc_subnet(1), Some(1), cell(0.0)),
+                RouterSpec::new("ar2", doc_subnet(2), Some(2), cell(geometry::AP_SEPARATION)),
+            ],
+            hosts: vec![HostSpec {
+                home: Some(0),
+                route_optimization: cfg.route_optimization,
+                ..HostSpec::new(0x77, walk, radio)
+            }],
+            links: vec![
+                (Role::Cn, Role::Anchor(0), backbone),
+                (Role::Anchor(0), Role::Anchor(1), backbone),
+                (Role::Anchor(0), Role::Anchor(2), backbone),
+                (Role::Anchor(1), Role::Router(0), distribution),
+                (Role::Anchor(2), Role::Router(1), distribution),
+            ],
+            peer_link: Some(LinkSpec::new(10_000_000, SimDuration::from_millis(2), 100)),
+            wireless_fault: FaultSpec::default(),
+            peer_link_fault: FaultSpec::default(),
+        })
     }
 
     /// The correspondent node's address.
@@ -563,7 +559,7 @@ impl HmipScenario {
         let flow = FlowId(self.next_flow);
         self.next_flow += 1;
         let src = self.cn_addr();
-        let dst = self.rcoas[mh_index];
+        let dst = self.mh_addrs[mh_index];
         let cbr = CbrSource::new(flow, src, dst, class, size, interval);
         let cn = self.sim.actor_mut::<CnNode>(self.cn).expect("cn");
         let cbr_index = cn.cbr.len();
@@ -637,22 +633,51 @@ impl HmipScenario {
         &self.sim.actor::<MhNode>(self.mhs[i]).expect("mh").agent
     }
 
-    /// The PAR's protocol agent.
+    /// The protocol agent of access router `i`.
+    #[must_use]
+    pub fn ar_agent(&self, i: usize) -> &ArAgent {
+        &self
+            .sim
+            .actor::<ArNode>(self.routers[i])
+            .expect("router")
+            .agent
+    }
+
+    /// The PAR's protocol agent (router 0).
     #[must_use]
     pub fn par_agent(&self) -> &ArAgent {
-        &self.sim.actor::<ArNode>(self.par).expect("par").agent
+        self.ar_agent(0)
     }
 
-    /// The NAR's protocol agent.
+    /// The NAR's protocol agent (router 1).
     #[must_use]
     pub fn nar_agent(&self) -> &ArAgent {
-        &self.sim.actor::<ArNode>(self.nar).expect("nar").agent
+        self.ar_agent(1)
     }
 
-    /// The MAP anchor.
+    /// Mobility anchor `i` (a MAP or home agent).
     #[must_use]
-    pub fn map_anchor(&self) -> &MobilityAnchor {
-        &self.sim.actor::<MapNode>(self.map).expect("map").anchor
+    pub fn anchor(&self, i: usize) -> &MobilityAnchor {
+        &self
+            .sim
+            .actor::<MapNode>(self.anchors[i])
+            .expect("anchor")
+            .anchor
+    }
+
+    /// The CN's TCP sender (trace access); set up by [`HmipScenario::wlan`].
+    #[must_use]
+    pub fn tcp_sender(&self) -> &TcpSender {
+        let cn = self.sim.actor::<CnNode>(self.cn).expect("cn");
+        cn.tcp.as_ref().expect("tcp configured")
+    }
+
+    /// Host 0's TCP receiver (trace access); set up by
+    /// [`HmipScenario::wlan`].
+    #[must_use]
+    pub fn tcp_receiver(&self) -> &TcpReceiver {
+        let mh = self.sim.actor::<MhNode>(self.mhs[0]).expect("mh");
+        mh.tcp_rx.as_ref().expect("tcp configured")
     }
 
     /// Runs the simulation until `t`.
@@ -753,15 +778,25 @@ impl HmipScenario {
             .count()
     }
 
-    /// End-of-run resource-leak audit: snapshots both routers' soft state
+    /// The access routers' protocol agents, in spec order.
+    fn ar_agents(&self) -> impl Iterator<Item = &ArAgent> + '_ {
+        (0..self.routers.len()).map(|i| self.ar_agent(i))
+    }
+
+    /// End-of-run resource-leak audit: snapshots every router's soft state
     /// and cross-checks every installed host route against the radio
     /// attachment table. Meaningful after a quiesce period longer than
     /// every reservation lifetime (and, for soft-state routes, the route
     /// lifetime) with no traffic flowing.
     #[must_use]
     pub fn leak_report(&self) -> LeakReport {
+        let mut leaking = Vec::new();
         let mut stale_routes = 0;
-        for agent in [self.par_agent(), self.nar_agent()] {
+        for (&router, agent) in self.routers.iter().zip(self.ar_agents()) {
+            let state = agent.soft_state();
+            if !state.quiesced() {
+                leaking.push((router, state));
+            }
             for (_, node) in agent.neighbor_entries() {
                 let attached_here = self
                     .sim
@@ -775,41 +810,40 @@ impl HmipScenario {
             }
         }
         LeakReport {
-            par: self.par_agent().soft_state(),
-            nar: self.nar_agent().soft_state(),
+            leaking,
             stale_routes,
             unresolved_hosts: self.unresolved_handovers(),
         }
     }
 
-    /// The larger of the two routers' lifetime byte high-water marks —
+    /// The largest of the routers' lifetime byte high-water marks —
     /// flash-crowd plans bound this with the `max_bytes_parked`
     /// expectation.
     #[must_use]
     pub fn peak_bytes_parked(&self) -> usize {
-        self.par_agent()
-            .pool()
-            .peak_bytes()
-            .max(self.nar_agent().pool().peak_bytes())
+        self.ar_agents()
+            .map(|agent| agent.pool().peak_bytes())
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Sessions still holding parked packets across both routers. After
+    /// Sessions still holding parked packets across all routers. After
     /// quiesce this must be zero — the handover watchdog exists precisely
     /// so no wedged session survives.
     #[must_use]
     pub fn wedged_sessions(&self) -> usize {
-        self.par_agent().pool().wedged_sessions() + self.nar_agent().pool().wedged_sessions()
+        self.ar_agents()
+            .map(|agent| agent.pool().wedged_sessions())
+            .sum()
     }
 }
 
 /// Combined soft-state audit of a finished run (see
 /// [`HmipScenario::leak_report`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeakReport {
-    /// The PAR's soft-state snapshot.
-    pub par: ArSoftState,
-    /// The NAR's soft-state snapshot.
-    pub nar: ArSoftState,
+    /// Routers whose soft state has not drained, with their snapshots.
+    pub leaking: Vec<(NodeId, ArSoftState)>,
     /// Host routes whose host is not attached to the owning router.
     pub stale_routes: usize,
     /// Hosts still wedged in an open handover attempt.
@@ -817,13 +851,10 @@ pub struct LeakReport {
 }
 
 impl LeakReport {
-    /// `true` when nothing leaked: both routers quiesced, every remaining
+    /// `true` when nothing leaked: every router quiesced, every remaining
     /// host route backs an attached host, and no attempt is wedged.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.par.quiesced()
-            && self.nar.quiesced()
-            && self.stale_routes == 0
-            && self.unresolved_hosts == 0
+        self.leaking.is_empty() && self.stale_routes == 0 && self.unresolved_hosts == 0
     }
 }

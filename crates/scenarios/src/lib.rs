@@ -4,11 +4,13 @@
 //! `fh-mip`, `fh-tcp`, `fh-traffic`) and the paper's contribution
 //! (`fh-core`) into runnable scenarios:
 //!
-//! * [`HmipScenario`] — the thesis' Fig 4.1 network: CN → MAP → {PAR, NAR}
-//!   with 802.11-style cells 212 m apart and mobile hosts walking between
-//!   them.
-//! * [`WlanScenario`] — the Fig 4.11 network: one router, two cells, a
-//!   pure link-layer handoff under a TCP download.
+//! * [`HmipScenario`] — one world builder, three worlds. The thesis'
+//!   Fig 4.1 network ([`HmipScenario::build`]: CN → MAP → {PAR, NAR} with
+//!   802.11-style cells 212 m apart and mobile hosts walking between
+//!   them), the Fig 4.11 WLAN ([`HmipScenario::wlan`]: one router, two
+//!   cells, a pure link-layer handoff under a TCP download) and the
+//!   chapter-2 roaming across two MAP domains behind a home agent
+//!   ([`HmipScenario::roaming`]) are three specs for the same builder.
 //! * [`experiments`] — one runner per evaluation figure (4.2 through 4.14)
 //!   plus ablations (threshold `a` sweep, black-out sweep, signaling
 //!   accounting).
@@ -35,20 +37,20 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+mod build;
 pub mod expectations;
 pub mod experiments;
 mod hmip;
 pub mod metro;
 mod nodes;
 pub mod plan;
-mod roaming;
 pub mod sweep;
 mod toml;
-mod wlan;
 mod world;
 
-pub use hmip::{geometry, CellularConfig, HmipConfig, HmipScenario, LeakReport, MovementPlan};
+pub use hmip::{
+    geometry, CellularConfig, HmipConfig, HmipScenario, LeakReport, MovementPlan, RoamingConfig,
+    WlanConfig,
+};
 pub use nodes::{ArNode, CnNode, MapNode, MhNode};
-pub use roaming::{RoamingConfig, RoamingScenario};
-pub use wlan::{WlanConfig, WlanScenario};
 pub use world::World;

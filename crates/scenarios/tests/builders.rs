@@ -2,10 +2,7 @@
 
 use fh_core::{ProtocolConfig, Scheme};
 use fh_net::{DropReason, RouteDecision, ServiceClass};
-use fh_scenarios::{
-    geometry, HmipConfig, HmipScenario, MovementPlan, RoamingConfig, RoamingScenario, WlanConfig,
-    WlanScenario,
-};
+use fh_scenarios::{geometry, HmipConfig, HmipScenario, MovementPlan, RoamingConfig, WlanConfig};
 use fh_sim::{SimDuration, SimTime};
 
 #[test]
@@ -13,7 +10,7 @@ fn hmip_topology_is_fully_routable() {
     let s = HmipScenario::build(HmipConfig::default());
     let topo = &s.sim.shared.topo;
     // Every node reaches every prefix owner.
-    for &from in &[s.cn, s.map, s.par, s.nar] {
+    for &from in [s.cn].iter().chain(&s.anchors).chain(&s.routers) {
         for n in [0u16, 1, 2, 10] {
             let dst = fh_net::doc_subnet(n).host(1);
             assert_ne!(
@@ -29,8 +26,8 @@ fn hmip_topology_is_fully_routable() {
 fn hmip_geometry_matches_the_thesis() {
     let s = HmipScenario::build(HmipConfig::default());
     let radio = &s.sim.shared.radio;
-    let par_ap = radio.ap(s.par_ap);
-    let nar_ap = radio.ap(s.nar_ap);
+    let par_ap = radio.ap(s.aps[0]);
+    let nar_ap = radio.ap(s.aps[1]);
     assert_eq!(par_ap.pos.distance(nar_ap.pos), geometry::AP_SEPARATION);
     assert_eq!(par_ap.radius, geometry::COVERAGE_RADIUS);
     // The 12 m overlap of §4.1.
@@ -46,7 +43,7 @@ fn mobile_hosts_start_attached_to_the_par() {
     });
     s.run_until(SimTime::from_millis(10));
     for &mh in &s.mhs {
-        assert_eq!(s.sim.shared.radio.attachment(mh), Some(s.par_ap));
+        assert_eq!(s.sim.shared.radio.attachment(mh), Some(s.aps[0]));
     }
 }
 
@@ -84,35 +81,37 @@ fn parked_hosts_never_hand_over() {
 
 #[test]
 fn wlan_scenario_serves_tcp_from_the_start() {
-    let mut s = WlanScenario::build(WlanConfig::default());
+    let mut s = HmipScenario::wlan(WlanConfig::default());
     s.run_until(SimTime::from_secs(2));
     assert!(
         s.tcp_receiver().bytes_in_order() > 100_000,
         "transfer must be under way"
     );
-    assert_eq!(s.sim.shared.radio.attachment(s.mh), Some(s.ap0));
+    assert_eq!(s.sim.shared.radio.attachment(s.mhs[0]), Some(s.aps[0]));
 }
 
 #[test]
 fn wlan_aps_share_one_router_and_prefix() {
-    let s = WlanScenario::build(WlanConfig::default());
+    let s = HmipScenario::wlan(WlanConfig::default());
     let radio = &s.sim.shared.radio;
-    assert_eq!(radio.ap(s.ap0).router, s.ar);
-    assert_eq!(radio.ap(s.ap1).router, s.ar);
-    assert!(fh_net::doc_subnet(1).contains(s.mh_addr));
+    assert_eq!(s.routers.len(), 1);
+    assert_eq!(radio.ap(s.aps[0]).router, s.routers[0]);
+    assert_eq!(radio.ap(s.aps[1]).router, s.routers[0]);
+    assert!(fh_net::doc_subnet(1).contains(s.mh_addrs[0]));
 }
 
 #[test]
 fn roaming_scenario_has_working_home_route() {
-    let mut s = RoamingScenario::build(RoamingConfig::default());
+    let mut s = HmipScenario::roaming(RoamingConfig::default());
+    let flow = s.add_audio_64k(0, ServiceClass::HighPriority);
     s.set_traffic_window(SimTime::from_millis(200), SimTime::from_millis(1_000));
     // The walk triggers the handover at ≈1.2 s; stop just before it.
     s.run_until(SimTime::from_millis(1_100));
     // Pre-handover: the HA intercepts and traffic arrives via MAP1 only.
-    assert!(s.sink().received() > 30);
-    assert!(s.home_anchor().tunneled > 30);
-    assert!(s.map1_anchor().tunneled > 30);
-    assert_eq!(s.map2_anchor().tunneled, 0);
+    assert!(s.flow_sink(flow).received() > 30);
+    assert!(s.anchor(0).tunneled > 30);
+    assert!(s.anchor(1).tunneled > 30);
+    assert_eq!(s.anchor(2).tunneled, 0);
 }
 
 #[test]

@@ -59,8 +59,9 @@ impl ActorId {
     }
 
     /// Rebuilds an id from a raw slot index. Only meaningful for the
-    /// simulator whose [`Simulator::add_actor`] produced that index —
-    /// exists for tests and trace tooling that label events by index.
+    /// simulator whose [`Simulator::add_actor`] produced that index — for
+    /// tests and trace tooling that label events by index, and for world
+    /// builders that compute ids before adding the actors.
     #[must_use]
     pub fn from_index(index: usize) -> ActorId {
         ActorId(index)
@@ -198,7 +199,8 @@ impl<M: 'static, S: 'static> Simulator<M, S> {
         }
     }
 
-    /// Registers an actor and returns its id.
+    /// Registers an actor and returns its id. Ids are insertion indices:
+    /// the `n`-th actor added (from 0) gets `ActorId::from_index(n)`.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M, S>>) -> ActorId {
         let id = ActorId(self.actors.len());
         self.actors.push(Some(actor));

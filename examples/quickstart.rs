@@ -60,8 +60,8 @@ fn main() {
     );
     println!(
         "MAP: tunneled={} bindings={}",
-        scenario.map_anchor().tunneled,
-        scenario.map_anchor().cache.len()
+        scenario.anchor(0).tunneled,
+        scenario.anchor(0).cache.len()
     );
 
     // --- flow outcome ---------------------------------------------------

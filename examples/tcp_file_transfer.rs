@@ -15,7 +15,7 @@
 //! ```
 
 use fh_core::{ProtocolConfig, Scheme};
-use fh_scenarios::{WlanConfig, WlanScenario};
+use fh_scenarios::{HmipScenario, WlanConfig};
 use fh_sim::SimTime;
 
 struct TransferReport {
@@ -37,7 +37,7 @@ fn transfer(buffering: bool) -> TransferReport {
         seed: 11,
         ..WlanConfig::default()
     };
-    let mut scenario = WlanScenario::build(cfg);
+    let mut scenario = HmipScenario::wlan(cfg);
     scenario.run_until(SimTime::from_secs(12));
 
     let rx = scenario.tcp_receiver();
@@ -47,7 +47,7 @@ fn transfer(buffering: bool) -> TransferReport {
     for w in rx.trace.received.windows(2) {
         idle = idle.max((w[1].0 - w[0].0).as_secs_f64());
     }
-    let log = &scenario.mh_agent().log;
+    let log = &scenario.mh_agent(0).log;
     let down = log
         .iter()
         .find(|(_, p)| *p == fh_core::HandoffPhase::LinkDown)

@@ -64,7 +64,7 @@ fn handover_terminates_under_total_control_plane_loss() {
     // The exchange degraded instead of wedging: the host still moved,
     // re-attached at the NAR, and resolved its attempt.
     assert_eq!(s.mh_agent(0).handoffs, 1, "host must still hand over");
-    assert_eq!(s.sim.shared.radio.attachment(s.mhs[0]), Some(s.nar_ap));
+    assert_eq!(s.sim.shared.radio.attachment(s.mhs[0]), Some(s.aps[1]));
     assert_eq!(failed, 0, "no attempt may stay open at end of run");
     assert_eq!(s.unresolved_handovers(), 0);
 

@@ -3,7 +3,7 @@
 
 use fh_core::ProtocolConfig;
 use fh_net::ServiceClass;
-use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan, WlanConfig, WlanScenario};
+use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan, WlanConfig};
 use fh_sim::{SimDuration, SimTime};
 
 /// Fingerprint of a finished run: everything an experiment would read.
@@ -90,7 +90,7 @@ fn different_seeds_still_satisfy_invariants() {
 #[test]
 fn tcp_scenario_is_deterministic_too() {
     let run = || {
-        let mut s = WlanScenario::build(WlanConfig {
+        let mut s = HmipScenario::wlan(WlanConfig {
             seed: 5,
             ..WlanConfig::default()
         });

@@ -22,7 +22,7 @@ fn scenario() -> HmipScenario {
 fn lost_hi_degrades_to_an_unanticipated_handover() {
     let mut s = scenario();
     // The HI is the first packet the PAR puts on the inter-AR link.
-    let par = s.par;
+    let par = s.routers[0];
     s.sim.shared.topo.link_mut(AR_LINK).inject_drops(par, 1);
     s.run_until(SimTime::from_secs(16));
     // The anticipation failed: no PrRtAdv ever reached the host…
@@ -32,14 +32,14 @@ fn lost_hi_degrades_to_an_unanticipated_handover() {
     assert_eq!(s.mh_agent(0).handoffs, 1, "recovery must still count");
     assert_eq!(
         s.sim.shared.radio.attachment(s.mhs[0]),
-        Some(s.nar_ap),
+        Some(s.aps[1]),
         "host ends up attached at the NAR"
     );
     // The MAP points at the new address, so traffic flows again.
     let bound = s
-        .map_anchor()
+        .anchor(0)
         .cache
-        .lookup(s.rcoas[0], s.sim.now())
+        .lookup(s.mh_addrs[0], s.sim.now())
         .expect("binding");
     assert!(fh_net::doc_subnet(2).contains(bound));
     // The outage costs real packets (no buffering happened), but service
@@ -57,7 +57,7 @@ fn lost_hi_degrades_to_an_unanticipated_handover() {
 #[test]
 fn lost_hack_leaves_no_stranded_buffer_space() {
     let mut s = scenario();
-    let nar = s.nar;
+    let nar = s.routers[1];
     // The HAck is the first packet the NAR puts on the link.
     s.sim.shared.topo.link_mut(AR_LINK).inject_drops(nar, 1);
     s.run_until(SimTime::from_secs(16));
@@ -85,7 +85,7 @@ fn lost_bf_relay_expires_the_par_buffer_instead_of_leaking() {
     // spill-back pass (≈1.31 s); the next NAR→PAR packet is the BF relay
     // triggered by the FNA at ≈1.41 s — make that one vanish.
     s.run_until(SimTime::from_millis(1_390));
-    let nar = s.nar;
+    let nar = s.routers[1];
     s.sim.shared.topo.link_mut(AR_LINK).inject_drops(nar, 1);
     s.run_until(SimTime::from_secs(16));
     assert_eq!(s.mh_agent(0).handoffs, 1);
@@ -114,8 +114,8 @@ fn repeated_signaling_loss_never_deadlocks() {
     // tests/chaos.rs), so the host must always fall back to the
     // unanticipated path.
     let mut s = scenario();
-    let par = s.par;
-    let nar = s.nar;
+    let par = s.routers[0];
+    let nar = s.routers[1];
     {
         let link = s.sim.shared.topo.link_mut(AR_LINK);
         link.inject_drops(par, 4);
@@ -123,7 +123,7 @@ fn repeated_signaling_loss_never_deadlocks() {
     }
     s.run_until(SimTime::from_secs(16));
     assert_eq!(s.mh_agent(0).handoffs, 1);
-    assert_eq!(s.sim.shared.radio.attachment(s.mhs[0]), Some(s.nar_ap));
+    assert_eq!(s.sim.shared.radio.attachment(s.mhs[0]), Some(s.aps[1]));
     // Still making progress at the end of the run.
     let flow = fh_net::FlowId(1);
     let sent = s.flow_sent(flow);

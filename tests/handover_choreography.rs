@@ -144,12 +144,12 @@ fn buffers_fill_during_blackout_and_drain_completely() {
 #[test]
 fn map_rebinding_follows_the_handover() {
     let scenario = one_way();
-    let anchor = scenario.map_anchor();
+    let anchor = scenario.anchor(0);
     // Boot registration + post-handover registration.
     assert_eq!(anchor.cache.registrations, 2);
     let lcoa = anchor
         .cache
-        .lookup(scenario.rcoas[0], scenario.sim.now())
+        .lookup(scenario.mh_addrs[0], scenario.sim.now())
         .expect("binding alive");
     assert!(
         fh_net::doc_subnet(2).contains(lcoa),

@@ -1,16 +1,16 @@
 //! TCP behaviour across a pure link-layer handoff (§4.2.4, Figs 4.12–4.14).
 
 use fh_core::{ProtocolConfig, Scheme};
-use fh_scenarios::{experiments, WlanConfig, WlanScenario};
+use fh_scenarios::{experiments, HmipScenario, WlanConfig};
 use fh_sim::SimTime;
 
-fn run(buffering: bool) -> WlanScenario {
+fn run(buffering: bool) -> HmipScenario {
     let protocol = if buffering {
         ProtocolConfig::proposed()
     } else {
         ProtocolConfig::with_scheme(Scheme::NoBuffer)
     };
-    let mut scenario = WlanScenario::build(WlanConfig {
+    let mut scenario = HmipScenario::wlan(WlanConfig {
         protocol,
         seed: 17,
         ..WlanConfig::default()
@@ -29,7 +29,7 @@ fn blackout_without_buffering_forces_a_coarse_timeout() {
     );
     // The coarse timers make recovery take 1–1.5 s (thesis §4.2.4).
     let down = scenario
-        .mh_agent()
+        .mh_agent(0)
         .log
         .iter()
         .find(|(_, p)| *p == fh_core::HandoffPhase::LinkDown)
@@ -94,7 +94,7 @@ fn receiver_stream_is_a_gapless_prefix() {
 #[test]
 fn intra_router_handoff_uses_the_short_protocol() {
     let scenario = run(true);
-    let ar = scenario.ar_agent();
+    let ar = scenario.ar_agent(0);
     assert_eq!(ar.metrics.intra_sessions, 1, "pure-L2 session expected");
     assert_eq!(ar.metrics.par_sessions, 0, "no inter-router negotiation");
     assert_eq!(ar.metrics.nar_sessions, 0);
