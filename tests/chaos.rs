@@ -13,6 +13,8 @@ use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan};
 use fh_sim::SimTime;
 use proptest::prelude::*;
 
+mod common;
+
 fn hardened_protocol() -> ProtocolConfig {
     let mut protocol = ProtocolConfig::proposed();
     protocol.buffer_request = 40;
@@ -20,15 +22,16 @@ fn hardened_protocol() -> ProtocolConfig {
     protocol
 }
 
-/// One hardened one-way run with the given faults; returns the scenario
-/// after the run and the end-of-run finalize pass.
-fn run_one_way(
+/// One one-way world with the given protocol and faults, its flow added
+/// and not yet run.
+fn one_way(
+    protocol: ProtocolConfig,
     ar_link_fault: FaultSpec,
     wireless_fault: FaultSpec,
     seed: u64,
-) -> (HmipScenario, u64) {
+) -> HmipScenario {
     let cfg = HmipConfig {
-        protocol: hardened_protocol(),
+        protocol,
         n_mhs: 1,
         buffer_capacity: 40,
         movement: MovementPlan::OneWay,
@@ -40,6 +43,17 @@ fn run_one_way(
     let mut s = HmipScenario::build(cfg);
     let _ = s.add_audio_64k(0, ServiceClass::HighPriority);
     s.set_traffic_window(SimTime::from_millis(500), SimTime::from_secs(13));
+    s
+}
+
+/// A hardened [`one_way`] after the run and the end-of-run finalize
+/// pass.
+fn run_one_way(
+    ar_link_fault: FaultSpec,
+    wireless_fault: FaultSpec,
+    seed: u64,
+) -> (HmipScenario, u64) {
+    let mut s = one_way(hardened_protocol(), ar_link_fault, wireless_fault, seed);
     s.run_until(SimTime::from_secs(16));
     let failed = s.finalize();
     (s, failed)
@@ -71,6 +85,55 @@ fn handover_terminates_under_total_control_plane_loss() {
     // Every data packet is accounted: delivered, or dropped with a reason
     // (the tunnel to the NAR crossed the fully-faulted wire).
     s.assert_conservation();
+}
+
+/// The total-loss run's handover as the Chrome trace exports it: the
+/// solicit retries outlast the walk to the cell edge, so the radio hands
+/// off on its own and the attempt resolves reactively.
+#[test]
+fn control_plane_loss_exports_a_reactive_span() {
+    let loss = FaultSpec::with_loss(1.0);
+    let mut s = one_way(hardened_protocol(), loss, FaultSpec::default(), 2003);
+    s.enable_telemetry(1 << 12);
+    s.run_until(SimTime::from_secs(16));
+    assert_eq!(s.finalize(), 0);
+    assert_eq!(
+        common::exported_spans(&s, 0),
+        [
+            "handover 1200000.000+1801397.000 reactive",
+            "trigger 1200000.000",
+            "solicit-sent 1200000.000",
+            "link-down 2450000.000",
+            "link-up 2650000.000",
+            "binding-complete 3015012.200",
+        ]
+    );
+}
+
+/// The same loss with a one-retry budget: the solicit exchange exhausts
+/// before the cell edge (`degraded`), and what follows lands on the same
+/// attempt.
+#[test]
+fn exhausted_solicit_exports_a_degraded_span() {
+    let mut protocol = hardened_protocol();
+    protocol.rtx.backoff.max_retries = 1;
+    let loss = FaultSpec::with_loss(1.0);
+    let mut s = one_way(protocol, loss, FaultSpec::default(), 2003);
+    s.enable_telemetry(1 << 12);
+    s.run_until(SimTime::from_secs(16));
+    assert_eq!(s.finalize(), 0);
+    assert_eq!(
+        common::exported_spans(&s, 0),
+        [
+            "handover 1200000.000+1801397.000 reactive",
+            "trigger 1200000.000",
+            "solicit-sent 1200000.000",
+            "degraded 1800000.000",
+            "link-down 2450000.000",
+            "link-up 2650000.000",
+            "binding-complete 3015012.200",
+        ]
+    );
 }
 
 #[test]

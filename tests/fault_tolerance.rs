@@ -8,6 +8,8 @@ use fh_net::{LinkId, ServiceClass};
 use fh_scenarios::{HmipConfig, HmipScenario};
 use fh_sim::SimTime;
 
+mod common;
+
 /// The PAR↔NAR link is the fourth one built in `HmipScenario`.
 const AR_LINK: LinkId = LinkId(3);
 
@@ -51,6 +53,28 @@ fn lost_hi_degrades_to_an_unanticipated_handover() {
     assert!(
         lost < sent / 4,
         "service must resume after recovery: {lost} of {sent}"
+    );
+}
+
+/// The lost-HI run's handover as the Chrome trace exports it: a
+/// reactive attempt with no PrRtAdv, FBU or FNA marks.
+#[test]
+fn lost_hi_exports_a_reactive_span() {
+    let mut s = scenario();
+    s.enable_telemetry(1 << 12);
+    let par = s.routers[0];
+    s.sim.shared.topo.link_mut(AR_LINK).inject_drops(par, 1);
+    s.run_until(SimTime::from_secs(16));
+    assert_eq!(
+        common::exported_spans(&s, 0),
+        [
+            "handover 1200000.000+1801702.000 reactive",
+            "trigger 1200000.000",
+            "solicit-sent 1200000.000",
+            "link-down 2450000.000",
+            "link-up 2650000.000",
+            "binding-complete 3015057.200",
+        ]
     );
 }
 
