@@ -59,4 +59,4 @@ pub use policy::AdmissionLimit;
 pub use scheme::{
     ParseRetransmitError, ParseSchemeError, ProtocolConfig, RetransmitConfig, Scheme,
 };
-pub use signaling::mh::{HandoffPhase, MhAgent};
+pub use signaling::mh::MhAgent;

@@ -19,13 +19,13 @@
 
 use std::net::Ipv6Addr;
 
-use fh_sim::{EventKey, FastSet, SimDuration, SimTime};
+use fh_sim::{EventKey, FastSet, SimDuration};
 
 use fh_mip::MipClient;
 use fh_net::{
     msg::{AuthToken, BufferInit},
-    ApId, ControlMsg, DropReason, FlowId, HandoverOutcome, L2Event, NetCtx, NetMsg, NodeFaultSpec,
-    NodeId, Packet, Payload, Prefix, TimerKind,
+    ApId, ControlMsg, DropReason, FlowId, HandoffPhase, HandoverAttempt, HandoverOutcome, L2Event,
+    NetCtx, NetMsg, NetStats, NodeFaultSpec, NodeId, Packet, Payload, Prefix, TimerKind,
 };
 use fh_wireless::{send_uplink, MhRadio, RadioWorld};
 
@@ -33,50 +33,6 @@ use crate::scheme::ProtocolConfig;
 
 /// `TimerKind::App` discriminator for the FBAck fallback timer.
 const FBU_FALLBACK: u32 = 1;
-
-/// Timeline entries recorded by the host (one list across all handoffs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandoffPhase {
-    /// L2 source trigger received.
-    Trigger,
-    /// RtSolPr(+BI) sent.
-    SolicitSent,
-    /// PrRtAdv received (negotiation result known).
-    AdvReceived,
-    /// FBU sent; leaving the old link.
-    FbuSent,
-    /// Radio detached (black-out begins).
-    LinkDown,
-    /// Radio attached on the new AP (black-out ends).
-    LinkUp,
-    /// FNA(+BF) or standalone BF sent.
-    FnaSent,
-    /// MAP binding update acknowledged; handover fully complete.
-    BindingComplete,
-    /// A signaling exchange exhausted its retransmission budget; the host
-    /// fell back one rung on the degradation ladder (predictive →
-    /// reactive → failed).
-    Degraded,
-}
-
-impl HandoffPhase {
-    /// Stable short label, used as the span-mark name on handover
-    /// timelines (`fh_telemetry` spans).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            HandoffPhase::Trigger => "trigger",
-            HandoffPhase::SolicitSent => "solicit-sent",
-            HandoffPhase::AdvReceived => "adv-received",
-            HandoffPhase::FbuSent => "fbu-sent",
-            HandoffPhase::LinkDown => "link-down",
-            HandoffPhase::LinkUp => "link-up",
-            HandoffPhase::FnaSent => "fna-sent",
-            HandoffPhase::BindingComplete => "binding-complete",
-            HandoffPhase::Degraded => "degraded",
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MhState {
@@ -156,10 +112,6 @@ pub struct MhAgent {
     guard_active: bool,
     rtx_solicit: Option<SolicitRtx>,
     rtx_fna: Option<FnaRtx>,
-    /// A handover attempt is in flight and has not yet resolved to a
-    /// [`HandoverOutcome`]. Scenarios call [`MhAgent::finalize_outcome`]
-    /// at end of run to classify stragglers as `Failed`.
-    attempt_open: bool,
     /// With retransmissions on, `Predictive` is only recorded once the
     /// MAP binding completes (not merely on attach).
     awaiting_binding: bool,
@@ -169,13 +121,11 @@ pub struct MhAgent {
     pub degradations: u64,
     /// Completed handovers.
     pub handoffs: u64,
-    /// Event timeline `(time, phase)`.
-    pub log: Vec<(SimTime, HandoffPhase)>,
-    /// The telemetry span of the current (or most recent) handover
-    /// attempt; [`fh_telemetry::SpanId::NONE`] while spans are disabled.
-    span: fh_telemetry::SpanId,
+    /// Index of the host's latest attempt in [`NetStats::handovers`];
+    /// `None` before the first accepted trigger.
+    latest: Option<usize>,
     /// Set at FNA time so the next delivered data packet stamps the
-    /// `first-delivery` mark on the span (FNA→first-delivery latency).
+    /// `FirstDelivery` mark on the attempt (FNA→first-delivery latency).
     await_first_delivery: bool,
     /// `(flow, seq)` pairs already delivered to the application —
     /// SafetyNet's selective delivery: the winning copy of a bicast is
@@ -210,57 +160,28 @@ impl MhAgent {
             guard_active: false,
             rtx_solicit: None,
             rtx_fna: None,
-            attempt_open: false,
             awaiting_binding: false,
             retransmissions: 0,
             degradations: 0,
             handoffs: 0,
-            log: Vec::new(),
-            span: fh_telemetry::SpanId::NONE,
+            latest: None,
             await_first_delivery: false,
             delivered_seqs: FastSet::default(),
         }
     }
 
-    /// Records a protocol phase: appended to the host's own timeline and
-    /// mirrored as a mark on the current handover span (no-op while
-    /// spans are disabled).
+    /// The host's latest attempt, if it has opened one.
+    fn attempt<'s>(&self, stats: &'s mut NetStats) -> Option<&'s mut HandoverAttempt> {
+        stats.handovers.get_mut(self.latest?)
+    }
+
+    /// Records a protocol phase on the latest attempt (none before the
+    /// first accepted trigger).
     fn phase<S: RadioWorld>(&mut self, ctx: &mut NetCtx<'_, S>, phase: HandoffPhase) {
         let now = ctx.now();
-        self.log.push((now, phase));
-        ctx.shared
-            .stats_mut()
-            .spans
-            .annotate(self.span, now, phase.label());
-    }
-
-    /// `true` while a handover attempt has neither completed nor been
-    /// classified — a wedged host at end of run.
-    #[must_use]
-    pub fn unresolved(&self) -> bool {
-        self.attempt_open
-    }
-
-    /// Closes a still-open attempt, returning `true` if one was open.
-    /// The caller records the corresponding `Failed` outcome (split from
-    /// [`MhAgent::finalize_outcome`] for callers that hold the stats hub
-    /// behind the same borrow as the agent).
-    pub fn close_unresolved(&mut self) -> bool {
-        let open = self.attempt_open;
-        self.attempt_open = false;
-        self.awaiting_binding = false;
-        open
-    }
-
-    /// End-of-run classification: an attempt still open when the
-    /// simulation stops is a failed handover. Returns `true` if a
-    /// `Failed` outcome was recorded.
-    pub fn finalize_outcome(&mut self, stats: &mut fh_net::NetStats) -> bool {
-        if self.close_unresolved() {
-            stats.record_outcome(HandoverOutcome::Failed);
-            return true;
+        if let Some(attempt) = self.attempt(ctx.shared.stats_mut()) {
+            attempt.mark(now, phase);
         }
-        false
     }
 
     /// Pre-configures the initial attachment so the host need not wait a
@@ -407,7 +328,6 @@ impl MhAgent {
     fn on_l2<S: RadioWorld>(&mut self, ctx: &mut NetCtx<'_, S>, ev: L2Event) {
         match ev {
             L2Event::SourceTrigger { current, next } => {
-                self.log.push((ctx.now(), HandoffPhase::Trigger));
                 if self.state != MhState::Idle {
                     return;
                 }
@@ -415,15 +335,16 @@ impl MhAgent {
                 if att.ap != current {
                     return;
                 }
-                // One span per handover attempt. A degraded attempt that
-                // re-triggers before resolving stays on its original span.
+                // One attempt per handover. A degraded attempt that
+                // re-triggers before resolving stays open and takes the
+                // new marks.
                 let now = ctx.now();
-                let track = self.node.index() as u64;
-                let spans = &mut ctx.shared.stats_mut().spans;
-                if !spans.is_open(self.span) {
-                    self.span = spans.begin("handover", track, now);
+                let stats = ctx.shared.stats_mut();
+                if !self.attempt(stats).is_some_and(|a| a.is_open()) {
+                    self.latest = Some(stats.handovers.len());
+                    stats.handovers.push(HandoverAttempt::open(self.node, now));
                 }
-                spans.annotate(self.span, now, HandoffPhase::Trigger.label());
+                self.phase(ctx, HandoffPhase::Trigger);
                 let bi = self.config.scheme.buffers().then_some(BufferInit {
                     size: self.config.buffer_request,
                     start_time: self.config.buffer_start_time,
@@ -436,7 +357,6 @@ impl MhAgent {
                 };
                 self.send_control_up(ctx, pcoa, att.router, msg);
                 self.state = MhState::Soliciting;
-                self.attempt_open = true;
                 if self.config.rtx.enabled {
                     let key = ctx.send_self_keyed(
                         self.config.rtx.backoff.delay(0),
@@ -607,11 +527,7 @@ impl MhAgent {
                     // First data packet after the FNA: the tail latency of
                     // the handover (FNA→first-delivery) is now measurable.
                     self.await_first_delivery = false;
-                    let now = ctx.now();
-                    ctx.shared
-                        .stats_mut()
-                        .spans
-                        .annotate(self.span, now, "first-delivery");
+                    self.phase(ctx, HandoffPhase::FirstDelivery);
                 }
                 Some(pkt)
             }
@@ -720,14 +636,15 @@ impl MhAgent {
         ctx: &mut NetCtx<'_, S>,
         outcome: HandoverOutcome,
     ) {
-        self.attempt_open = false;
         self.awaiting_binding = false;
         let now = ctx.now();
         let stats = ctx.shared.stats_mut();
         stats.record_outcome(outcome);
-        // The span id is kept so the trailing first-delivery mark still
-        // lands on this attempt (marks after end are allowed).
-        stats.spans.end(self.span, now, outcome.label());
+        // The attempt stays the latest, so trailing marks such as the
+        // first delivery still land on it.
+        if let Some(attempt) = self.attempt(stats) {
+            attempt.close(now, outcome);
+        }
     }
 
     /// Cancels any armed retransmission timers (O(1) keyed cancel — the

@@ -61,6 +61,7 @@
 mod addr;
 mod class;
 pub mod fault;
+mod handover;
 mod link;
 pub mod msg;
 mod packet;
@@ -72,6 +73,7 @@ mod world;
 pub use addr::{doc_subnet, Prefix};
 pub use class::{ParseClassError, PerHopBehavior, ServiceClass};
 pub use fault::{FaultSpec, FaultState, FaultVerdict, GilbertElliott, NodeFaultSpec};
+pub use handover::{HandoffPhase, HandoverAttempt, HandoverOutcome};
 pub use link::{serialization_time, Link, LinkError, LinkId, LinkSpec};
 pub use msg::{ApId, ControlMsg};
 pub use packet::{ConnId, FlowId, Packet, Payload, TcpFlags, TcpSegment};
@@ -80,5 +82,5 @@ pub use topology::{NodeId, RouteDecision, Topology};
 pub use trace::{render_trace, TraceEvent};
 pub use world::{
     record_control, record_drop, record_trace, send_control, send_from, start_timer, transmit_on,
-    DropReason, FlowAudit, HandoverOutcome, L2Event, NetCtx, NetMsg, NetStats, NetWorld, TimerKind,
+    DropReason, FlowAudit, L2Event, NetCtx, NetMsg, NetStats, NetWorld, TimerKind,
 };

@@ -19,6 +19,7 @@ use std::net::Ipv6Addr;
 use fh_sim::{Ctx, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::handover::{HandoverAttempt, HandoverOutcome};
 use crate::link::LinkId;
 use crate::msg::{ApId, ControlMsg};
 use crate::packet::{FlowId, Packet};
@@ -210,56 +211,16 @@ impl DropReason {
     }
 }
 
-/// How one handover attempt resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum HandoverOutcome {
-    /// The anticipated FMIPv6 exchange completed: the MH moved with a
-    /// pre-established binding and (where configured) pre-armed buffers.
-    Predictive,
-    /// Anticipation failed (lost signaling, exhausted retries) but the MH
-    /// recovered reactively after attaching: FNA/BF first, bindings after.
-    Reactive,
-    /// The attempt never resolved — the MH ended the run without
-    /// re-establishing connectivity.
-    Failed,
-}
-
-impl HandoverOutcome {
-    const ALL: [HandoverOutcome; 3] = [
-        HandoverOutcome::Predictive,
-        HandoverOutcome::Reactive,
-        HandoverOutcome::Failed,
-    ];
-
-    fn index(self) -> usize {
-        match self {
-            HandoverOutcome::Predictive => 0,
-            HandoverOutcome::Reactive => 1,
-            HandoverOutcome::Failed => 2,
-        }
-    }
-
-    /// Stable short label for spans, tables and CSV columns.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            HandoverOutcome::Predictive => "predictive",
-            HandoverOutcome::Reactive => "reactive",
-            HandoverOutcome::Failed => "failed",
-        }
-    }
-}
-
 /// Global statistics hub, one per simulation.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NetStats {
     /// Optional protocol event trace (off by default).
     #[serde(skip)]
     pub trace: fh_telemetry::FlightRecorder<crate::trace::TraceEvent>,
-    /// Optional handover span store (off by default): one span per
-    /// handover attempt, with the protocol phases as timestamped marks.
+    /// The handover ledger: every host's attempts, in the order they
+    /// opened (always on; a host agent keeps the index of its latest).
     #[serde(skip)]
-    pub spans: fh_telemetry::SpanStore,
+    pub handovers: Vec<HandoverAttempt>,
     /// Drops by reason, indexed by [`DropReason::index`].
     drops: [u64; DropReason::ALL.len()],
     /// One conservation row per flow, indexed by `FlowId.0` (ids are
@@ -464,6 +425,18 @@ impl NetStats {
     #[must_use]
     pub fn outcomes(&self) -> [(HandoverOutcome, u64); 3] {
         HandoverOutcome::ALL.map(|o| (o, self.outcomes[o.index()]))
+    }
+
+    /// End-of-run classification: every attempt still open at `now` is a
+    /// failed handover. Closes and tallies each; returns how many.
+    pub fn fail_open_handovers(&mut self, now: SimTime) -> u64 {
+        let mut failed = 0;
+        for attempt in self.handovers.iter_mut().filter(|a| a.is_open()) {
+            attempt.close(now, HandoverOutcome::Failed);
+            failed += 1;
+        }
+        self.outcomes[HandoverOutcome::Failed.index()] += failed;
+        failed
     }
 }
 
@@ -935,6 +908,28 @@ mod tests {
                 (HandoverOutcome::Failed, 0)
             ]
         );
+    }
+
+    #[test]
+    fn open_handovers_fail_once_at_the_end() {
+        let mut stats = NetStats::new();
+        let mut topo = Topology::new();
+        let (a, b) = (topo.add_node("a"), topo.add_node("b"));
+        stats
+            .handovers
+            .push(HandoverAttempt::open(a, SimTime::ZERO));
+        stats
+            .handovers
+            .push(HandoverAttempt::open(b, SimTime::ZERO));
+        let ms = SimTime::from_millis;
+        stats.handovers[0].close(ms(5), HandoverOutcome::Predictive);
+        assert_eq!(stats.fail_open_handovers(ms(9)), 1);
+        assert_eq!(stats.fail_open_handovers(ms(10)), 0);
+        assert_eq!(
+            stats.handovers[1].end,
+            Some((ms(9), HandoverOutcome::Failed))
+        );
+        assert_eq!(stats.outcomes()[2], (HandoverOutcome::Failed, 1));
     }
 
     #[test]

@@ -138,8 +138,7 @@ pub(crate) fn build(spec: WorldSpec) -> HmipScenario {
     }
     let peer = spec.peer_link.map(|link| (LinkId(spec.links.len()), link));
 
-    let mut cn_node = CnNode::new(cn);
-    cn_node.addr = Some(cn_addr);
+    let cn_node = CnNode::new(cn, cn_addr);
     add(&mut sim, cn, "cn", Some(cn_prefix), cn_node);
     for (i, a) in anchors.iter().enumerate() {
         let (id, addr) = (anchor_id(i), a.prefix.host(1));

@@ -19,7 +19,7 @@
 use serde::{Deserialize, Serialize};
 
 use fh_core::{ProtocolConfig, Scheme};
-use fh_net::{ControlMsg, FlowId, ServiceClass};
+use fh_net::{ControlMsg, FlowId, HandoverAttempt, ServiceClass};
 use fh_sim::{derive_seed, SimDuration, SimTime};
 
 use crate::hmip::{HmipConfig, HmipScenario, MovementPlan, WlanConfig};
@@ -411,19 +411,11 @@ pub fn tcp_l2_handoff(buffering: bool, seed: u64) -> TcpHandoffResult {
     };
     let timeouts = tx.trace.timeouts.iter().map(|&t| t.as_secs_f64()).collect();
 
-    // Black-out window from the host's L2 log: the first LinkDown, and
-    // the first LinkUp after it (earlier LinkUps are the boot attach).
-    let log = &scenario.mh_agent(0).log;
-    let down = log
-        .iter()
-        .find(|(_, p)| *p == fh_core::HandoffPhase::LinkDown)
-        .map(|&(t, _)| t.as_secs_f64());
-    let up = down.and_then(|d| {
-        log.iter()
-            .find(|(t, p)| *p == fh_core::HandoffPhase::LinkUp && t.as_secs_f64() > d)
-            .map(|&(t, _)| t.as_secs_f64())
-    });
-    let blackout = down.zip(up);
+    // Black-out window: the host's first L2 switch.
+    let blackout = scenario
+        .handovers(0)
+        .find_map(HandoverAttempt::blackout)
+        .map(|(down, up)| (down.as_secs_f64(), up.as_secs_f64()));
 
     // Throughput: in-order goodput per 100 ms bin.
     let bin = SimDuration::from_millis(100);

@@ -10,11 +10,11 @@ use fh_sim::{SimDuration, SimTime, Simulator};
 use fh_core::{ArAgent, ArSoftState, MhAgent, ProtocolConfig};
 use fh_mip::MobilityAnchor;
 use fh_net::{
-    doc_subnet, ApId, ConnId, FaultSpec, FlowId, HandoverOutcome, LinkSpec, NetMsg, NodeFaultSpec,
-    NodeId, ServiceClass, TraceEvent,
+    doc_subnet, ApId, ConnId, FaultSpec, FlowId, HandoverAttempt, HandoverOutcome, LinkSpec,
+    NetMsg, NodeFaultSpec, NodeId, ServiceClass, TraceEvent,
 };
 use fh_tcp::{TcpConfig, TcpReceiver, TcpSender};
-use fh_telemetry::{ChromeTrace, Span, SpanStore};
+use fh_telemetry::ChromeTrace;
 use fh_traffic::{CbrSource, UdpSink};
 use fh_wireless::{Mobility, Position, RadioConfig, RadioTechnology, TriggerMode, WirelessSpec};
 
@@ -26,9 +26,9 @@ use crate::world::World;
 /// [`HmipScenario::take_recording`].
 #[derive(Debug)]
 pub(crate) struct Recording {
-    spans: SpanStore,
+    handovers: Vec<HandoverAttempt>,
     events: Vec<(SimTime, TraceEvent)>,
-    /// The sim time open spans render up to.
+    /// The sim time open attempts render up to.
     end: SimTime,
 }
 
@@ -36,21 +36,21 @@ impl Recording {
     /// Renders the run exactly as [`HmipScenario::chrome_trace_into`]
     /// would have.
     pub(crate) fn chrome_trace_into(&self, trace: &mut ChromeTrace, pid: u64) {
-        export_run(trace, pid, self.spans.spans(), &self.events, self.end);
+        export_run(trace, pid, &self.handovers, &self.events, self.end);
     }
 }
 
-/// Spans in begin order (open ones closed at `end`), then recorded
-/// events in ring order, all under `pid`.
+/// Handover attempts as spans in the order they opened (open ones closed
+/// at `end`), then recorded events in ring order, all under `pid`.
 fn export_run<'a>(
     trace: &mut ChromeTrace,
     pid: u64,
-    spans: &[Span],
+    handovers: &[HandoverAttempt],
     events: impl IntoIterator<Item = &'a (SimTime, TraceEvent)>,
     end: SimTime,
 ) {
-    for span in spans {
-        trace.add_span(pid, span, end);
+    for attempt in handovers {
+        trace.add_span(pid, attempt, end);
     }
     for (t, event) in events {
         trace.add_instant(pid, *t, event);
@@ -685,28 +685,34 @@ impl HmipScenario {
         self.sim.run_until(t);
     }
 
-    /// Switches the observability subsystem on for this run: the flight
-    /// recorder rings `cap` protocol events and every handover attempt is
-    /// tracked as a span. Call before `run_until`; read the results back
-    /// with [`HmipScenario::chrome_trace_into`] or the stats' `trace` /
-    /// `spans` fields. Costs one branch per event when off (the default).
+    /// Switches the flight recorder on for this run: it rings `cap`
+    /// protocol events. Call before `run_until`; read the events back with
+    /// [`HmipScenario::chrome_trace_into`] or the stats' `trace` field.
+    /// Costs one branch per event when off (the default). The handover
+    /// record ([`HmipScenario::handovers`]) is kept either way.
     pub fn enable_telemetry(&mut self, cap: usize) {
         self.sim.shared.stats.trace.enable(cap);
-        self.sim.shared.stats.spans.enable();
     }
 
-    /// Exports this run's telemetry into a Chrome-trace builder under
-    /// process id `pid`: one `"X"` span per handover attempt (with its
-    /// phase marks) followed by one instant per flight-recorder event.
-    /// Spans still open render to the current sim time with outcome
-    /// `"open"`. Deterministic: spans in begin order, events in ring
+    /// Host `i`'s handover attempts, in the order they opened.
+    pub fn handovers(&self, i: usize) -> impl Iterator<Item = &HandoverAttempt> + '_ {
+        let host = self.mhs[i];
+        let ledger = &self.sim.shared.stats.handovers;
+        ledger.iter().filter(move |a| a.host == host)
+    }
+
+    /// Exports this run into a Chrome-trace builder under process id
+    /// `pid`: one `"X"` span per handover attempt (with its phase marks)
+    /// followed by one instant per flight-recorder event. Attempts still
+    /// open render to the current sim time with outcome `"open"`.
+    /// Deterministic: attempts in the order they opened, events in ring
     /// order.
     pub fn chrome_trace_into(&self, trace: &mut ChromeTrace, pid: u64) {
         let stats = &self.sim.shared.stats;
         export_run(
             trace,
             pid,
-            stats.spans.spans(),
+            &stats.handovers,
             stats.trace.events(),
             self.sim.now(),
         );
@@ -714,13 +720,13 @@ impl HmipScenario {
 
     /// Detaches what [`HmipScenario::chrome_trace_into`] would render, so
     /// a sweep can drop the world and render every point later, in grid
-    /// order, into one buffer. The spans move out; the recorded events
-    /// are copied into an exact-size `Vec`, under half the bytes their
-    /// JSON takes.
+    /// order, into one buffer. The handover record moves out; the
+    /// recorded events are copied into an exact-size `Vec`, under half
+    /// the bytes their JSON takes.
     pub(crate) fn take_recording(&mut self) -> Recording {
         let stats = &mut self.sim.shared.stats;
         Recording {
-            spans: std::mem::take(&mut stats.spans),
+            handovers: std::mem::take(&mut stats.handovers),
             events: stats.trace.events().cloned().collect(),
             end: self.sim.now(),
         }
@@ -730,28 +736,8 @@ impl HmipScenario {
     /// attempt as [`HandoverOutcome::Failed`]. Call once, after the final
     /// `run_until`. Returns the number of failed attempts.
     pub fn finalize(&mut self) -> u64 {
-        let mhs = self.mhs.clone();
-        let mut failed = 0u64;
-        for mh in mhs {
-            let agent = &mut self.sim.actor_mut::<MhNode>(mh).expect("mh").agent;
-            if agent.close_unresolved() {
-                failed += 1;
-            }
-        }
-        for _ in 0..failed {
-            self.sim
-                .shared
-                .stats
-                .record_outcome(HandoverOutcome::Failed);
-        }
-        // Mirror the outcome bookkeeping onto the span timeline: an
-        // attempt still open at the horizon is a failed handover.
         let now = self.sim.now();
-        let spans = &mut self.sim.shared.stats.spans;
-        for id in spans.open_spans() {
-            spans.end(id, now, HandoverOutcome::Failed.label());
-        }
-        failed
+        self.sim.shared.stats.fail_open_handovers(now)
     }
 
     /// Asserts per-flow packet conservation:
@@ -768,14 +754,13 @@ impl HmipScenario {
         self.sim.shared.stats.outcomes()
     }
 
-    /// Hosts whose current handover attempt has not resolved (should be
-    /// zero after [`HmipScenario::finalize`]).
+    /// Hosts whose latest handover attempt has not resolved (should be
+    /// zero after [`HmipScenario::finalize`]). A host has at most one open
+    /// attempt, its latest.
     #[must_use]
     pub fn unresolved_handovers(&self) -> usize {
-        self.mhs
-            .iter()
-            .filter(|&&mh| self.sim.actor::<MhNode>(mh).expect("mh").agent.unresolved())
-            .count()
+        let ledger = &self.sim.shared.stats.handovers;
+        ledger.iter().filter(|a| a.is_open()).count()
     }
 
     /// The access routers' protocol agents, in spec order.

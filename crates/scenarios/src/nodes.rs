@@ -7,6 +7,8 @@
 //! the fast-handover [`ArAgent`], and the [`MhNode`] wraps the [`MhAgent`]
 //! plus per-flow sinks and an optional TCP receiver.
 
+use std::net::Ipv6Addr;
+
 use fh_sim::{Actor, SimDuration, SimTime};
 
 use fh_core::{ArAgent, MhAgent};
@@ -40,7 +42,7 @@ pub struct CnNode {
     /// (home address → current RCoA).
     pub bindings: BindingCache,
     /// This node's own address (needed to answer binding updates).
-    pub addr: Option<std::net::Ipv6Addr>,
+    pub addr: Ipv6Addr,
     /// Reusable buffer for segments the TCP sender releases — the 500 ms
     /// tick and every ACK run through here, so the capacity is allocated
     /// once per connection lifetime instead of once per event.
@@ -48,9 +50,9 @@ pub struct CnNode {
 }
 
 impl CnNode {
-    /// Creates a correspondent node with no traffic configured.
+    /// Creates a correspondent node at `addr` with no traffic configured.
     #[must_use]
-    pub fn new(node: NodeId) -> Self {
+    pub fn new(node: NodeId, addr: Ipv6Addr) -> Self {
         CnNode {
             node,
             cbr: Vec::new(),
@@ -60,7 +62,7 @@ impl CnNode {
             tcp_start: SimTime::from_millis(500),
             tcp_tick: SimDuration::from_millis(500),
             bindings: BindingCache::new(),
-            addr: None,
+            addr,
             tcp_out: Vec::new(),
         }
     }
@@ -179,16 +181,14 @@ impl Actor<NetMsg, World> for CnNode {
                                 let (home, coa, lifetime) = (*home, *coa, *lifetime);
                                 let now = ctx.now();
                                 self.bindings.update(home, coa, lifetime, now);
-                                if let Some(my_addr) = self.addr {
-                                    let ack = ControlMsg::BindingAck {
-                                        kind: BindingKind::Correspondent,
-                                        home,
-                                        status: AckStatus::Accepted,
-                                    };
-                                    fh_net::record_control(ctx, &ack);
-                                    let reply = Packet::control(my_addr, local.src, ack, now);
-                                    self.transmit(ctx, reply);
-                                }
+                                let ack = ControlMsg::BindingAck {
+                                    kind: BindingKind::Correspondent,
+                                    home,
+                                    status: AckStatus::Accepted,
+                                };
+                                fh_net::record_control(ctx, &ack);
+                                let reply = Packet::control(self.addr, local.src, ack, now);
+                                self.transmit(ctx, reply);
                             }
                         }
                         _ => {}

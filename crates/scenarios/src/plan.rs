@@ -23,7 +23,7 @@
 //! artifacts at any thread count.
 
 use fh_core::{ProtocolConfig, RetransmitConfig, Scheme};
-use fh_net::{DropReason, FaultSpec, FlowId, NodeFaultSpec, ServiceClass};
+use fh_net::{DropReason, FaultSpec, FlowId, HandoverAttempt, NodeFaultSpec, ServiceClass};
 use fh_sim::{derive_seed, Rng64, SimDuration, SimTime};
 use fh_telemetry::{Cell, ChromeTrace, CsvTable, FailureReport};
 
@@ -543,22 +543,13 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint) -> (PointRun, Option<Recording
         class_p99_ms[k] = class_p99_ms[k].max(report.p99_delay.as_millis_f64());
     }
 
-    // Service-restoration latency: each LinkDown paired with the next
-    // MAP BindingComplete on host 0's timeline.
+    // Service-restoration latency: each LinkDown on host 0's record
+    // paired with the next MAP BindingComplete.
     let recovery_ms = if gp.hosts > 0 {
-        let log = &scenario.mh_agent(0).log;
-        let mut gaps_ms = Vec::new();
-        for (i, &(down, phase)) in log.iter().enumerate() {
-            if phase != fh_core::HandoffPhase::LinkDown {
-                continue;
-            }
-            if let Some(&(done, _)) = log[i + 1..]
-                .iter()
-                .find(|(_, q)| *q == fh_core::HandoffPhase::BindingComplete)
-            {
-                gaps_ms.push((done.as_secs_f64() - down.as_secs_f64()) * 1e3);
-            }
-        }
+        let gaps_ms: Vec<f64> = HandoverAttempt::recoveries(scenario.handovers(0))
+            .into_iter()
+            .map(|(down, done)| (done.as_secs_f64() - down.as_secs_f64()) * 1e3)
+            .collect();
         if gaps_ms.is_empty() {
             0.0
         } else {

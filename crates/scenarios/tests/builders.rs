@@ -136,18 +136,11 @@ fn custom_blackout_and_link_delay_are_applied() {
     let mut s = HmipScenario::build(cfg);
     let _ = s.add_audio_64k(0, ServiceClass::HighPriority);
     s.run_until(SimTime::from_secs(5));
-    // The blackout is visible in the host's log.
-    let log = &s.mh_agent(0).log;
-    let down = log
-        .iter()
-        .find(|(_, p)| *p == fh_core::HandoffPhase::LinkDown)
-        .map(|&(t, _)| t)
-        .expect("link down");
-    let up = log
-        .iter()
-        .find(|&&(t, p)| p == fh_core::HandoffPhase::LinkUp && t > down)
-        .map(|&(t, _)| t)
-        .expect("link up");
+    // The blackout is visible in the host's handover record.
+    let (down, up) = s
+        .handovers(0)
+        .find_map(fh_net::HandoverAttempt::blackout)
+        .expect("blackout");
     assert_eq!(up - down, SimDuration::from_millis(321));
     // And the inter-AR link runs at the configured delay.
     assert_eq!(

@@ -10,8 +10,6 @@ use std::fmt::Write as _;
 
 use fh_sim::SimTime;
 
-use crate::span::Span;
-
 /// One typed CSV cell.
 ///
 /// The two float variants exist because the bench CSVs mix styles: some
@@ -146,6 +144,26 @@ pub trait TraceInstant {
     fn write_args(&self, out: &mut String);
 }
 
+/// A multi-phase operation that knows how to render itself on a
+/// timeline: one interval plus a timestamped mark per phase.
+///
+/// Implemented by the records that own such operations (e.g. `fh_net`'s
+/// `HandoverAttempt`), the way [`TraceInstant`] is implemented by event
+/// vocabularies, so the exporter needs no store of its own.
+pub trait TraceSpan {
+    /// Operation name (e.g. `"handover"`).
+    fn name(&self) -> &'static str;
+    /// Track (timeline row) the span belongs to — usually the actor id.
+    fn track(&self) -> u64;
+    /// When the operation began.
+    fn start(&self) -> SimTime;
+    /// When the operation ended and its terminal label (e.g.
+    /// `"predictive"`); `None` while still open.
+    fn end(&self) -> Option<(SimTime, &'static str)>;
+    /// The phase marks as `(time, label)`, in recording order.
+    fn marks(&self) -> impl Iterator<Item = (SimTime, &'static str)>;
+}
+
 /// Appends `s` to `out`, escaped for a JSON string literal. Every byte
 /// that needs escaping is ASCII, so clean runs are copied whole.
 fn escape_into(out: &mut String, s: &str) {
@@ -218,23 +236,23 @@ impl ChromeTrace {
     /// Adds a span as a complete (`"ph":"X"`) event plus one instant
     /// per mark. Open spans are closed at `fallback_end` and labeled
     /// `"open"` so an aborted run still renders.
-    pub fn add_span(&mut self, pid: u64, span: &Span, fallback_end: SimTime) {
-        let end = span.end.unwrap_or(fallback_end);
+    pub fn add_span<S: TraceSpan>(&mut self, pid: u64, span: &S, fallback_end: SimTime) {
+        let (name, track, start) = (span.name(), span.track(), span.start());
+        let (end, outcome) = span.end().unwrap_or((fallback_end, "open"));
         let out = self.next_event();
         out.push_str("{\"name\":\"");
-        escape_into(out, span.name);
+        escape_into(out, name);
         out.push_str("\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":");
-        push_micros(out, span.start.as_nanos());
+        push_micros(out, start.as_nanos());
         out.push_str(",\"dur\":");
-        push_micros(out, end.saturating_since(span.start).as_nanos());
+        push_micros(out, end.saturating_since(start).as_nanos());
         let _ = write!(
             out,
-            ",\"pid\":{pid},\"tid\":{},\"args\":{{\"outcome\":\"",
-            span.track
+            ",\"pid\":{pid},\"tid\":{track},\"args\":{{\"outcome\":\""
         );
-        escape_into(out, span.outcome.unwrap_or("open"));
+        escape_into(out, outcome);
         out.push_str("\"}}");
-        for &(t, label) in &span.marks {
+        for (t, label) in span.marks() {
             let out = self.next_event();
             out.push_str("{\"name\":\"");
             escape_into(out, label);
@@ -242,10 +260,9 @@ impl ChromeTrace {
             push_micros(out, t.as_nanos());
             let _ = write!(
                 out,
-                ",\"pid\":{pid},\"tid\":{},\"s\":\"t\",\"args\":{{\"span\":\"",
-                span.track
+                ",\"pid\":{pid},\"tid\":{track},\"s\":\"t\",\"args\":{{\"span\":\""
             );
-            escape_into(out, span.name);
+            escape_into(out, name);
             out.push_str("\"}}");
         }
     }
@@ -290,9 +307,34 @@ impl ChromeTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanStore;
 
     struct Ping(u64);
+
+    /// A plain-data [`TraceSpan`].
+    struct Op {
+        track: u64,
+        start: SimTime,
+        end: Option<(SimTime, &'static str)>,
+        marks: Vec<(SimTime, &'static str)>,
+    }
+
+    impl TraceSpan for Op {
+        fn name(&self) -> &'static str {
+            "handover"
+        }
+        fn track(&self) -> u64 {
+            self.track
+        }
+        fn start(&self) -> SimTime {
+            self.start
+        }
+        fn end(&self) -> Option<(SimTime, &'static str)> {
+            self.end
+        }
+        fn marks(&self) -> impl Iterator<Item = (SimTime, &'static str)> {
+            self.marks.iter().copied()
+        }
+    }
 
     impl TraceInstant for Ping {
         fn name(&self) -> &'static str {
@@ -340,14 +382,15 @@ mod tests {
 
     #[test]
     fn chrome_trace_emits_spans_marks_and_instants() {
-        let mut spans = SpanStore::new();
-        spans.enable();
-        let id = spans.begin("handover", 3, SimTime::from_millis(1));
-        spans.annotate(id, SimTime::from_millis(2), "link-down");
-        spans.end(id, SimTime::from_millis(5), "predictive");
+        let span = Op {
+            track: 3,
+            start: SimTime::from_millis(1),
+            end: Some((SimTime::from_millis(5), "predictive")),
+            marks: vec![(SimTime::from_millis(2), "link-down")],
+        };
 
         let mut trace = ChromeTrace::new();
-        trace.add_span(0, &spans.spans()[0], SimTime::from_millis(9));
+        trace.add_span(0, &span, SimTime::from_millis(9));
         trace.add_instant(0, SimTime::from_millis(4), &Ping(3));
         let json = trace.finish();
 
@@ -365,11 +408,14 @@ mod tests {
 
     #[test]
     fn open_spans_render_with_fallback_end() {
-        let mut spans = SpanStore::new();
-        spans.enable();
-        spans.begin("handover", 1, SimTime::from_millis(10));
+        let span = Op {
+            track: 1,
+            start: SimTime::from_millis(10),
+            end: None,
+            marks: Vec::new(),
+        };
         let mut trace = ChromeTrace::new();
-        trace.add_span(0, &spans.spans()[0], SimTime::from_millis(15));
+        trace.add_span(0, &span, SimTime::from_millis(15));
         let json = trace.finish();
         assert!(json.contains("\"outcome\":\"open\""));
         assert!(json.contains("\"dur\":5000.000"));
@@ -377,14 +423,15 @@ mod tests {
 
     #[test]
     fn chrome_trace_bytes_are_pinned() {
-        let mut spans = SpanStore::new();
-        spans.enable();
-        let id = spans.begin("handover", 3, SimTime::from_nanos(1_000_001));
-        spans.annotate(id, SimTime::from_nanos(2_500_000), "link-down");
-        spans.end(id, SimTime::from_nanos(5_000_999), "predictive");
+        let span = Op {
+            track: 3,
+            start: SimTime::from_nanos(1_000_001),
+            end: Some((SimTime::from_nanos(5_000_999), "predictive")),
+            marks: vec![(SimTime::from_nanos(2_500_000), "link-down")],
+        };
         let mut trace = ChromeTrace::new();
         assert!(trace.is_empty());
-        trace.add_span(7, &spans.spans()[0], SimTime::ZERO);
+        trace.add_span(7, &span, SimTime::ZERO);
         trace.add_instant(7, SimTime::from_nanos(4), &Ping(3));
         assert_eq!(trace.len(), 3);
         assert_eq!(

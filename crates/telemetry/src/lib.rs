@@ -12,12 +12,12 @@
 //! * [`FlightRecorder`] — a fixed-capacity ring buffer of timestamped
 //!   structured events, generic over the event vocabulary. Cheap enough
 //!   to leave on (one branch when disabled).
-//! * [`SpanStore`] — begin/annotate/end spans so a multi-phase operation
-//!   (a handover attempt) is a first-class measurement: per-phase latency
-//!   is read off the span's marks instead of re-derived in analysis code.
 //! * [`export`] — Chrome-trace JSON (`chrome://tracing` / Perfetto) and
 //!   a shared CSV table writer. Every exporter is byte-deterministic for
-//!   a given recorded history.
+//!   a given recorded history. The trace renders any [`TraceInstant`]
+//!   (one recorded event) and any [`TraceSpan`] (a multi-phase operation
+//!   with timestamped marks, such as `fh_net`'s handover record); the
+//!   records themselves live with the layer that owns them.
 //!
 //! Everything in this crate is driven by [`fh_sim::SimTime`]: no wall
 //! clocks, no global state, no interior mutability — determinism is
@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use fh_sim::SimTime;
-//! use fh_telemetry::{FlightRecorder, MetricsRegistry, SpanStore};
+//! use fh_telemetry::{ChromeTrace, FlightRecorder, MetricsRegistry, TraceSpan};
 //!
 //! // Handle-based counters: register once, bump cheaply.
 //! let mut reg = MetricsRegistry::new();
@@ -36,15 +36,22 @@
 //! reg.add(drops, 3);
 //! assert_eq!(reg.get(drops), 3);
 //!
-//! // A span with per-phase marks.
-//! let mut spans = SpanStore::new();
-//! spans.enable();
-//! let s = spans.begin("handover", 0, SimTime::ZERO);
-//! spans.annotate(s, SimTime::from_millis(10), "link-down");
-//! spans.annotate(s, SimTime::from_millis(210), "link-up");
-//! spans.end(s, SimTime::from_millis(250), "predictive");
-//! let blackout = spans.spans()[0].phase("link-down", "link-up").unwrap();
-//! assert_eq!(blackout.as_nanos(), 200_000_000);
+//! // Any record with per-phase marks renders as a span.
+//! struct Blackout;
+//! impl TraceSpan for Blackout {
+//!     fn name(&self) -> &'static str { "blackout" }
+//!     fn track(&self) -> u64 { 0 }
+//!     fn start(&self) -> SimTime { SimTime::from_millis(10) }
+//!     fn end(&self) -> Option<(SimTime, &'static str)> {
+//!         Some((SimTime::from_millis(210), "done"))
+//!     }
+//!     fn marks(&self) -> impl Iterator<Item = (SimTime, &'static str)> {
+//!         [(SimTime::from_millis(10), "link-down")].into_iter()
+//!     }
+//! }
+//! let mut trace = ChromeTrace::new();
+//! trace.add_span(0, &Blackout, SimTime::ZERO);
+//! assert_eq!(trace.len(), 2); // the span and its one mark
 //!
 //! // A flight recorder over any event type.
 //! let mut rec: FlightRecorder<&'static str> = FlightRecorder::new();
@@ -64,10 +71,8 @@ pub mod export;
 mod recorder;
 mod registry;
 pub mod report;
-mod span;
 
-pub use export::{Cell, ChromeTrace, CsvTable, TraceInstant};
+pub use export::{Cell, ChromeTrace, CsvTable, TraceInstant, TraceSpan};
 pub use recorder::FlightRecorder;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use report::{FailureReport, ReportEntry};
-pub use span::{Span, SpanId, SpanStore};

@@ -2,8 +2,8 @@
 //!
 //! Builds the thesis' Fig 4.1 network (CN → MAP → {PAR, NAR}), attaches a
 //! 64 kb/s real-time audio flow to a mobile host, walks the host from the
-//! PAR's cell into the NAR's cell, and prints what happened: the protocol
-//! timeline, buffer activity at both routers, and the flow's loss/delay
+//! PAR's cell into the NAR's cell, and prints what happened: the handover
+//! record, buffer activity at both routers, and the flow's loss/delay
 //! figures.
 //!
 //! Run with:
@@ -12,7 +12,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use fh_net::{render_trace, ServiceClass};
+use fh_net::{render_trace, HandoverAttempt, ServiceClass};
 use fh_scenarios::{HmipConfig, HmipScenario};
 use fh_sim::SimTime;
 
@@ -37,10 +37,19 @@ fn main() {
     scenario.set_traffic_window(SimTime::from_millis(500), SimTime::from_secs(14));
     scenario.run_until(SimTime::from_secs(16));
 
-    // --- protocol timeline -------------------------------------------
-    println!("protocol timeline (mobile host):");
-    for (t, phase) in &scenario.mh_agent(0).log {
-        println!("  {t}  {phase:?}");
+    // --- handover record ----------------------------------------------
+    for attempt in scenario.handovers(0) {
+        let outcome = attempt.outcome().map_or("open", |o| o.label());
+        println!("handover attempt (mobile host): {outcome}");
+        for (t, phase) in attempt.phases() {
+            println!("  {t}  {phase:?}");
+        }
+        if let Some((down, up)) = attempt.blackout() {
+            println!("  L2 black-out     : {}", up - down);
+        }
+    }
+    for (down, done) in HandoverAttempt::recoveries(scenario.handovers(0)) {
+        println!("service restored : {} after link-down", done - down);
     }
 
     // --- router activity ----------------------------------------------

@@ -15,6 +15,7 @@
 //! ```
 
 use fh_core::{ProtocolConfig, Scheme};
+use fh_net::HandoverAttempt;
 use fh_scenarios::{HmipScenario, WlanConfig};
 use fh_sim::SimTime;
 
@@ -47,16 +48,10 @@ fn transfer(buffering: bool) -> TransferReport {
     for w in rx.trace.received.windows(2) {
         idle = idle.max((w[1].0 - w[0].0).as_secs_f64());
     }
-    let log = &scenario.mh_agent(0).log;
-    let down = log
-        .iter()
-        .find(|(_, p)| *p == fh_core::HandoffPhase::LinkDown)
-        .map(|&(t, _)| t.as_secs_f64());
-    let up = down.and_then(|d| {
-        log.iter()
-            .find(|(t, p)| *p == fh_core::HandoffPhase::LinkUp && t.as_secs_f64() > d)
-            .map(|&(t, _)| t.as_secs_f64())
-    });
+    let blackout = scenario
+        .handovers(0)
+        .find_map(HandoverAttempt::blackout)
+        .map(|(down, up)| (down.as_secs_f64(), up.as_secs_f64()));
     TransferReport {
         label: if buffering {
             "proposed buffering"
@@ -65,7 +60,7 @@ fn transfer(buffering: bool) -> TransferReport {
         },
         bytes: rx.bytes_in_order(),
         timeouts: tx.trace.timeouts.len(),
-        blackout: down.zip(up),
+        blackout,
         idle,
     }
 }

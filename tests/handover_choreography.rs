@@ -4,8 +4,7 @@
 //! sequence, timing, and side effects of one anticipated handover match
 //! the protocol definition.
 
-use fh_core::HandoffPhase;
-use fh_net::{render_trace, ServiceClass};
+use fh_net::{render_trace, HandoffPhase, HandoverAttempt, HandoverOutcome, ServiceClass};
 use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan};
 use fh_sim::{SimDuration, SimTime};
 
@@ -17,18 +16,18 @@ fn one_way() -> HmipScenario {
     scenario
 }
 
-fn phase_time(scenario: &HmipScenario, phase: HandoffPhase) -> Option<SimTime> {
-    scenario
-        .mh_agent(0)
-        .log
-        .iter()
-        .find(|&&(_, p)| p == phase)
-        .map(|&(t, _)| t)
+/// Host 0's only handover attempt.
+fn the_attempt(scenario: &HmipScenario) -> &HandoverAttempt {
+    let attempts: Vec<_> = scenario.handovers(0).collect();
+    assert_eq!(attempts.len(), 1, "one crossing, one attempt");
+    attempts[0]
 }
 
 #[test]
 fn phases_occur_in_protocol_order() {
     let scenario = one_way();
+    let attempt = the_attempt(&scenario);
+    assert_eq!(attempt.outcome(), Some(HandoverOutcome::Predictive));
     let order = [
         HandoffPhase::Trigger,
         HandoffPhase::SolicitSent,
@@ -39,17 +38,11 @@ fn phases_occur_in_protocol_order() {
         HandoffPhase::FnaSent,
         HandoffPhase::BindingComplete,
     ];
-    // Find each phase at-or-after the previous one (the boot attach also
-    // logs a LinkUp/BindingComplete pair at t≈0, which must be skipped).
-    let mut last = SimTime::ZERO;
+    let mut last = attempt.start;
     for phase in order {
-        let t = scenario
-            .mh_agent(0)
-            .log
-            .iter()
-            .find(|&&(t, p)| p == phase && t >= last && t > SimTime::from_millis(100))
-            .map(|&(t, _)| t)
-            .unwrap_or_else(|| panic!("phase {phase:?} missing after {last}"));
+        let t = attempt
+            .first(phase)
+            .unwrap_or_else(|| panic!("phase {phase:?} missing"));
         assert!(t >= last, "{phase:?} out of order at {t}");
         last = t;
     }
@@ -58,23 +51,16 @@ fn phases_occur_in_protocol_order() {
 #[test]
 fn blackout_lasts_exactly_the_configured_l2_delay() {
     let scenario = one_way();
-    let down = phase_time(&scenario, HandoffPhase::LinkDown).expect("link down");
-    // The boot LinkUp is logged before LinkDown; find the one after.
-    let up = scenario
-        .mh_agent(0)
-        .log
-        .iter()
-        .find(|&&(t, p)| p == HandoffPhase::LinkUp && t > down)
-        .map(|&(t, _)| t)
-        .expect("link up after blackout");
+    let (down, up) = the_attempt(&scenario).blackout().expect("blackout");
     assert_eq!(up - down, SimDuration::from_millis(200));
 }
 
 #[test]
 fn fback_is_received_on_the_old_link_before_detaching() {
     let scenario = one_way();
-    let fbu = phase_time(&scenario, HandoffPhase::FbuSent).expect("fbu");
-    let down = phase_time(&scenario, HandoffPhase::LinkDown).expect("down");
+    let attempt = the_attempt(&scenario);
+    let fbu = attempt.first(HandoffPhase::FbuSent).expect("fbu");
+    let down = attempt.first(HandoffPhase::LinkDown).expect("down");
     // The host waits for the FBAck round trip (radio + processing) before
     // switching — strictly after FBU, well under the fallback timeout.
     assert!(down > fbu, "host must not detach the instant it sends FBU");

@@ -28,13 +28,10 @@ fn blackout_without_buffering_forces_a_coarse_timeout() {
         "losing a window must trigger the RTO"
     );
     // The coarse timers make recovery take 1–1.5 s (thesis §4.2.4).
-    let down = scenario
-        .mh_agent(0)
-        .log
-        .iter()
-        .find(|(_, p)| *p == fh_core::HandoffPhase::LinkDown)
-        .map(|&(t, _)| t)
-        .expect("link down");
+    let (down, _) = scenario
+        .handovers(0)
+        .find_map(fh_net::HandoverAttempt::blackout)
+        .expect("blackout");
     let rto = tx.trace.timeouts[0];
     let gap = (rto - down).as_secs_f64();
     assert!(
