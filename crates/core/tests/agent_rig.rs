@@ -142,9 +142,9 @@ impl Rig {
         }
         {
             let topo = &mut sim.shared.topo;
-            topo.register_node(par, "par");
-            topo.register_node(nar, "nar");
-            topo.register_node(mh, "mh");
+            topo.register_node(par);
+            topo.register_node(nar);
+            topo.register_node(mh);
             topo.add_link(
                 par,
                 nar,
@@ -780,7 +780,7 @@ fn guarded_radio_pause_is_lossless() {
     );
     new_agent.mip.enter_map_domain(rig.par_addr, rig.pcoa);
     new_agent.configure_initial(rig.par_ap, rig.par_addr, doc_subnet(1));
-    rig.sim.shared.topo.register_node(guarded, "guarded");
+    rig.sim.shared.topo.register_node(guarded);
     rig.sim
         .actor_mut::<GuardedHost>(guarded)
         .expect("guarded")

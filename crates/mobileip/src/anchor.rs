@@ -217,9 +217,9 @@ mod tests {
         }));
         let mh = sim.add_actor(Box::new(Leaf { got: vec![] }));
         let t = &mut sim.shared.topo;
-        t.register_node(cn, "cn");
-        t.register_node(map, "map");
-        t.register_node(mh, "mh");
+        t.register_node(cn);
+        t.register_node(map);
+        t.register_node(mh);
         let spec = LinkSpec::new(100_000_000, SimDuration::from_millis(2), 50);
         t.add_link(cn, map, spec);
         t.add_link(map, mh, spec);

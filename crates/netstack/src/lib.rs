@@ -41,8 +41,8 @@
 //! let mut sim = Simulator::new(World { topo: Topology::new(), stats: NetStats::new() }, 1);
 //! let a = sim.add_actor(Box::new(Router));
 //! let b = sim.add_actor(Box::new(Router));
-//! sim.shared.topo.register_node(a, "a");
-//! sim.shared.topo.register_node(b, "b");
+//! sim.shared.topo.register_node(a);
+//! sim.shared.topo.register_node(b);
 //! sim.shared.topo.add_link(a, b, LinkSpec::new(8_000_000, SimDuration::from_millis(2), 50));
 //! sim.shared.topo.add_prefix(doc_subnet(1), b);
 //! sim.shared.topo.compute_routes();

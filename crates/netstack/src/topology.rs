@@ -52,7 +52,6 @@ pub enum RouteDecision {
 
 #[derive(Debug, Clone, Default)]
 struct NodeEntry {
-    name: String,
     links: Vec<LinkId>,
     registered: bool,
 }
@@ -86,10 +85,9 @@ impl Topology {
     }
 
     /// Registers a simulator actor as a network node.
-    pub fn register_node(&mut self, id: NodeId, name: impl Into<String>) {
+    pub fn register_node(&mut self, id: NodeId) {
         let idx = id.index();
         self.ensure(idx);
-        self.nodes[idx].name = name.into();
         self.nodes[idx].registered = true;
         self.next_synthetic = self.next_synthetic.max(idx + 1);
         self.routes_fresh = false;
@@ -97,10 +95,11 @@ impl Topology {
 
     /// Allocates and registers a synthetic node id (useful in unit tests
     /// that do not run a simulator). Real scenarios should pass actor ids
-    /// to [`Topology::register_node`] instead.
-    pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
+    /// to [`Topology::register_node`] instead. `_label` only names the
+    /// node where it is created: the topology stores no names.
+    pub fn add_node(&mut self, _label: impl AsRef<str>) -> NodeId {
         let id = ActorId::from_index(self.next_synthetic);
-        self.register_node(id, name);
+        self.register_node(id);
         id
     }
 

@@ -653,8 +653,8 @@ mod tests {
         let ids: Vec<NodeId> = (0..n)
             .map(|_| sim.add_actor(Box::new(Node { delivered: 0 })))
             .collect();
-        for (i, &id) in ids.iter().enumerate() {
-            sim.shared.topo.register_node(id, format!("n{i}"));
+        for &id in &ids {
+            sim.shared.topo.register_node(id);
         }
         let spec = LinkSpec::new(8_000_000, SimDuration::from_millis(2), 50);
         for w in ids.windows(2) {
@@ -760,7 +760,7 @@ mod tests {
         }
         // Sender shares node 0's position by registering its own node id.
         let s = sim.add_actor(Box::new(Sender));
-        sim.shared.topo.register_node(s, "sender");
+        sim.shared.topo.register_node(s);
         let spec = LinkSpec::new(8_000_000, SimDuration::from_millis(1), 10);
         sim.shared.topo.add_link(s, ids[0], spec);
         sim.shared.topo.compute_routes();

@@ -220,8 +220,8 @@ proptest! {
         );
         let a = sim.add_actor(Box::new(Bouncer));
         let b = sim.add_actor(Box::new(Bouncer));
-        sim.shared.topo.register_node(a, "a");
-        sim.shared.topo.register_node(b, "b");
+        sim.shared.topo.register_node(a);
+        sim.shared.topo.register_node(b);
         sim.shared.topo.add_link(a, b,
             LinkSpec::new(100_000_000, SimDuration::from_micros(10), 1000));
         // Both nodes route the same (unowned-by-them) prefix toward each

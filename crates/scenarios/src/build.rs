@@ -40,7 +40,6 @@ pub(crate) enum Role {
 /// A home agent or MAP. Its address is `prefix.host(1)`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AnchorSpec {
-    pub(crate) name: &'static str,
     pub(crate) prefix: Prefix,
     /// A Mobile IPv6 home agent rather than an HMIPv6 MAP.
     pub(crate) home_agent: bool,
@@ -57,7 +56,6 @@ pub(crate) struct ApSpec {
 /// A fast-handover access router. Its address is `prefix.host(1)`.
 #[derive(Debug, Clone)]
 pub(crate) struct RouterSpec {
-    pub(crate) name: &'static str,
     pub(crate) prefix: Prefix,
     /// The MAP whose domain this router belongs to; `None` in a flat
     /// network, where the router is its own regional anchor.
@@ -139,7 +137,7 @@ pub(crate) fn build(spec: WorldSpec) -> HmipScenario {
     let peer = spec.peer_link.map(|link| (LinkId(spec.links.len()), link));
 
     let cn_node = CnNode::new(cn, cn_addr);
-    add(&mut sim, cn, "cn", Some(cn_prefix), cn_node);
+    add(&mut sim, cn, Some(cn_prefix), cn_node);
     for (i, a) in anchors.iter().enumerate() {
         let (id, addr) = (anchor_id(i), a.prefix.host(1));
         let anchor = if a.home_agent {
@@ -147,7 +145,7 @@ pub(crate) fn build(spec: WorldSpec) -> HmipScenario {
         } else {
             MobilityAnchor::map(id, addr, a.prefix)
         };
-        add(&mut sim, id, a.name, Some(a.prefix), MapNode { anchor });
+        add(&mut sim, id, Some(a.prefix), MapNode { anchor });
     }
     for (r, router) in routers.iter().enumerate() {
         let mut agent = ArAgent::new(
@@ -169,8 +167,8 @@ pub(crate) fn build(spec: WorldSpec) -> HmipScenario {
         if let Some((link, _)) = peer.filter(|_| r < 2) {
             agent.learn_peer_link(routers[1 - r].prefix.host(1), link);
         }
-        let (name, prefix) = (router.name, Some(router.prefix));
-        add(&mut sim, router_id(r), name, prefix, ArNode { agent });
+        let prefix = Some(router.prefix);
+        add(&mut sim, router_id(r), prefix, ArNode { agent });
     }
     let mut mhs = Vec::with_capacity(spec.hosts.len());
     let mut mh_addrs = Vec::with_capacity(spec.hosts.len());
@@ -193,7 +191,7 @@ pub(crate) fn build(spec: WorldSpec) -> HmipScenario {
         if host.route_optimization {
             agent.mip.add_correspondent(cn_addr);
         }
-        add(&mut sim, id, format!("mh{h}"), None, MhNode::new(agent));
+        add(&mut sim, id, None, MhNode::new(agent));
         mhs.push(id);
         mh_addrs.push(home.host(iid));
     }
@@ -250,18 +248,17 @@ pub(crate) fn build(spec: WorldSpec) -> HmipScenario {
     }
 }
 
-/// Registers `actor` as node `name`, the owner of `prefix` if any. The
+/// Registers `actor` as node `id`, the owner of `prefix` if any. The
 /// caller computed `id` in advance.
 fn add(
     sim: &mut Simulator<NetMsg, World>,
     id: NodeId,
-    name: impl Into<String>,
     prefix: Option<Prefix>,
     actor: impl Actor<NetMsg, World> + 'static,
 ) {
     let added = sim.add_actor(Box::new(actor));
     debug_assert_eq!(added, id, "actor ids are insertion indices");
-    sim.shared.topo.register_node(id, name);
+    sim.shared.topo.register_node(id);
     if let Some(prefix) = prefix {
         sim.shared.topo.add_prefix(prefix, id);
     }
@@ -277,15 +274,9 @@ impl ApSpec {
 
 impl RouterSpec {
     /// A fault-free router in `anchor`'s domain.
-    pub(crate) fn new(
-        name: &'static str,
-        prefix: Prefix,
-        anchor: Option<usize>,
-        aps: Vec<ApSpec>,
-    ) -> Self {
+    pub(crate) fn new(prefix: Prefix, anchor: Option<usize>, aps: Vec<ApSpec>) -> Self {
         let fault = NodeFaultSpec::default();
         RouterSpec {
-            name,
             prefix,
             anchor,
             aps,

@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use fh_core::{ProtocolConfig, Scheme};
 use fh_net::{ControlMsg, FlowId, HandoverAttempt, ServiceClass};
+use fh_sim::stats::windowed_rate;
 use fh_sim::{derive_seed, SimDuration, SimTime};
 
 use crate::hmip::{HmipConfig, HmipScenario, MovementPlan, WlanConfig};
@@ -332,12 +333,9 @@ pub fn delay_trace(
     scenario.run_until(SimTime::from_secs(16));
     let mut series: [Vec<(u64, f64)>; 3] = Default::default();
     for (k, &f) in flows.iter().enumerate() {
-        series[k] = scenario
-            .flow_sink(f)
-            .delays
-            .iter()
-            .map(|&(seq, d)| (seq, d.as_secs_f64()))
-            .collect();
+        let sink = scenario.flow_sink(f);
+        series[k] = Vec::with_capacity(sink.received() as usize);
+        series[k].extend(sink.delays().map(|(seq, d)| (seq, d.as_secs_f64())));
     }
     // The spike: first packet whose delay exceeds twice the pre-handoff
     // baseline.
@@ -404,38 +402,41 @@ pub fn tcp_l2_handoff(buffering: bool, seed: u64) -> TcpHandoffResult {
     let mut scenario = HmipScenario::wlan(cfg);
     scenario.run_until(SimTime::from_secs(12));
 
-    let tx = scenario.tcp_sender();
-    let rx = scenario.tcp_receiver();
-    let secs = |trace: &[(SimTime, u64)]| -> Vec<(f64, u64)> {
-        trace.iter().map(|&(t, s)| (t.as_secs_f64(), s)).collect()
-    };
-    let timeouts = tx.trace.timeouts.iter().map(|&t| t.as_secs_f64()).collect();
-
     // Black-out window: the host's first L2 switch.
     let blackout = scenario
         .handovers(0)
         .find_map(HandoverAttempt::blackout)
         .map(|(down, up)| (down.as_secs_f64(), up.as_secs_f64()));
+    let bytes_delivered = scenario.tcp_receiver().bytes_in_order();
+
+    // The traces leave the run, so each conversion below rewrites its
+    // buffer in place.
+    let (tx, rx) = scenario.take_tcp_traces();
+    let secs = |trace: Vec<(SimTime, u64)>| -> Vec<(f64, u64)> {
+        trace
+            .into_iter()
+            .map(|(t, s)| (t.as_secs_f64(), s))
+            .collect()
+    };
+    let timeouts = tx.timeouts.into_iter().map(SimTime::as_secs_f64).collect();
 
     // Throughput: in-order goodput per 100 ms bin.
     let bin = SimDuration::from_millis(100);
-    let series: fh_sim::stats::TimeSeries =
-        rx.trace.bytes.iter().map(|&(t, b)| (t, b as f64)).collect();
-    let throughput = series
-        .windowed_rate(SimTime::ZERO, SimTime::from_secs(12), bin)
+    let bytes = rx.bytes.iter().map(|&(t, b)| (t, b as f64));
+    let throughput = windowed_rate(bytes, SimTime::ZERO, SimTime::from_secs(12), bin)
         .into_iter()
         .map(|(t, bytes_per_s)| (t.as_secs_f64(), bytes_per_s * 8.0 / 1e6))
         .collect();
 
     TcpHandoffResult {
         buffering,
-        sent: secs(&tx.trace.sent),
-        acked: secs(&tx.trace.acked),
-        received: secs(&rx.trace.received),
+        sent: secs(tx.sent),
+        acked: secs(tx.acked),
+        received: secs(rx.received),
         timeouts,
         blackout,
         throughput,
-        bytes_delivered: rx.bytes_in_order(),
+        bytes_delivered,
         events: scenario.sim.events_processed(),
     }
 }

@@ -13,7 +13,7 @@ use fh_net::{
     doc_subnet, ApId, ConnId, FaultSpec, FlowId, HandoverAttempt, HandoverOutcome, LinkSpec,
     NetMsg, NodeFaultSpec, NodeId, ServiceClass, TraceEvent,
 };
-use fh_tcp::{TcpConfig, TcpReceiver, TcpSender};
+use fh_tcp::{ReceiverTrace, SenderTrace, TcpConfig, TcpReceiver, TcpSender};
 use fh_telemetry::ChromeTrace;
 use fh_traffic::{CbrSource, UdpSink};
 use fh_wireless::{Mobility, Position, RadioConfig, RadioTechnology, TriggerMode, WirelessSpec};
@@ -389,15 +389,14 @@ impl HmipScenario {
             protocol: cfg.protocol,
             buffer_capacity: cfg.buffer_capacity,
             anchors: vec![AnchorSpec {
-                name: "map",
                 prefix: doc_subnet(10),
                 home_agent: false,
             }],
             routers: vec![
+                // The PAR, then the NAR.
                 RouterSpec {
                     fault: cfg.par_fault,
                     ..RouterSpec::new(
-                        "par",
                         doc_subnet(1),
                         Some(0),
                         vec![ApSpec::wlan(0.0, geometry::COVERAGE_RADIUS)],
@@ -405,7 +404,7 @@ impl HmipScenario {
                 },
                 RouterSpec {
                     fault: cfg.nar_fault,
-                    ..RouterSpec::new("nar", doc_subnet(2), Some(0), vec![nar_ap])
+                    ..RouterSpec::new(doc_subnet(2), Some(0), vec![nar_ap])
                 },
             ],
             hosts,
@@ -449,7 +448,7 @@ impl HmipScenario {
             protocol: cfg.protocol,
             buffer_capacity: cfg.buffer_capacity,
             anchors: Vec::new(),
-            routers: vec![RouterSpec::new("ar", doc_subnet(1), None, cells)],
+            routers: vec![RouterSpec::new(doc_subnet(1), None, cells)],
             hosts: vec![HostSpec::new(0x99, walk, radio)],
             links: vec![(
                 Role::Cn,
@@ -489,8 +488,7 @@ impl HmipScenario {
     /// the PAR's tunnel), so the crossing is seamless.
     #[must_use]
     pub fn roaming(cfg: RoamingConfig) -> Self {
-        let anchor = |name, subnet, home_agent| AnchorSpec {
-            name,
+        let anchor = |subnet, home_agent| AnchorSpec {
             prefix: doc_subnet(subnet),
             home_agent,
         };
@@ -512,14 +510,12 @@ impl HmipScenario {
             seed: cfg.seed,
             protocol: cfg.protocol,
             buffer_capacity: cfg.buffer_capacity,
-            anchors: vec![
-                anchor("ha", 100, true),
-                anchor("map1", 10, false),
-                anchor("map2", 20, false),
-            ],
+            // The home agent, MAP1 and MAP2; AR1 under MAP1, AR2 under
+            // MAP2.
+            anchors: vec![anchor(100, true), anchor(10, false), anchor(20, false)],
             routers: vec![
-                RouterSpec::new("ar1", doc_subnet(1), Some(1), cell(0.0)),
-                RouterSpec::new("ar2", doc_subnet(2), Some(2), cell(geometry::AP_SEPARATION)),
+                RouterSpec::new(doc_subnet(1), Some(1), cell(0.0)),
+                RouterSpec::new(doc_subnet(2), Some(2), cell(geometry::AP_SEPARATION)),
             ],
             hosts: vec![HostSpec {
                 home: Some(0),
@@ -678,6 +674,17 @@ impl HmipScenario {
     pub fn tcp_receiver(&self) -> &TcpReceiver {
         let mh = self.sim.actor::<MhNode>(self.mhs[0]).expect("mh");
         mh.tcp_rx.as_ref().expect("tcp configured")
+    }
+
+    /// Moves the TCP sender's and receiver's traces out of the run,
+    /// leaving empty ones behind, so a finished run's figures can reuse
+    /// the trace buffers instead of copying them.
+    pub fn take_tcp_traces(&mut self) -> (SenderTrace, ReceiverTrace) {
+        let cn = self.sim.actor_mut::<CnNode>(self.cn).expect("cn");
+        let tx = std::mem::take(&mut cn.tcp.as_mut().expect("tcp configured").trace);
+        let mh = self.sim.actor_mut::<MhNode>(self.mhs[0]).expect("mh");
+        let rx = std::mem::take(&mut mh.tcp_rx.as_mut().expect("tcp configured").trace);
+        (tx, rx)
     }
 
     /// Runs the simulation until `t`.

@@ -5,8 +5,8 @@
 //!
 //! * [`Welford`] — streaming mean / variance / min / max.
 //! * [`Histogram`] — fixed-width binned counts with quantile queries.
-//! * [`TimeSeries`] — `(time, value)` samples with windowed-rate binning,
-//!   used for throughput-over-time plots (Fig 4.14).
+//! * [`windowed_rate`] — binning of `(time, value)` samples into
+//!   per-window rates, used for throughput-over-time plots (Fig 4.14).
 //!
 //! # Examples
 //!
@@ -230,96 +230,39 @@ impl Histogram {
     }
 }
 
-/// A series of `(time, value)` samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimeSeries {
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        TimeSeries::default()
-    }
-
-    /// Appends a sample. Samples are expected in nondecreasing time order.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.samples.push((t, v));
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` if the series has no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Borrow of the raw samples.
-    #[must_use]
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
-    /// Sum of all sample values.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.samples.iter().map(|&(_, v)| v).sum()
-    }
-
-    /// Buckets sample *values* into fixed windows of `bin` width over
-    /// `[start, end)` and returns per-window **rates** (sum / bin seconds).
-    ///
-    /// This is the throughput-over-time transform: push one sample per
-    /// delivered byte count and read back bits-per-second per window at the
-    /// call site.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin` is zero or `end <= start`.
-    #[must_use]
-    pub fn windowed_rate(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        bin: SimDuration,
-    ) -> Vec<(SimTime, f64)> {
-        assert!(!bin.is_zero(), "bin width must be positive");
-        assert!(end > start, "end must be after start");
-        let n = (end - start).as_nanos().div_ceil(bin.as_nanos());
-        let mut sums = vec![0.0; n as usize];
-        for &(t, v) in &self.samples {
-            if t < start || t >= end {
-                continue;
-            }
-            let idx = ((t - start).as_nanos() / bin.as_nanos()) as usize;
-            sums[idx] += v;
+/// Buckets sample *values* into fixed windows of `bin` width over
+/// `[start, end)` and returns per-window **rates** (sum / bin seconds).
+///
+/// This is the throughput-over-time transform: feed one sample per
+/// delivered byte count and read back bytes per second per window.
+/// `samples` is any iterator, so a caller bins a trace where it lies.
+///
+/// # Panics
+///
+/// Panics if `bin` is zero or `end <= start`.
+#[must_use]
+pub fn windowed_rate(
+    samples: impl IntoIterator<Item = (SimTime, f64)>,
+    start: SimTime,
+    end: SimTime,
+    bin: SimDuration,
+) -> Vec<(SimTime, f64)> {
+    assert!(!bin.is_zero(), "bin width must be positive");
+    assert!(end > start, "end must be after start");
+    let n = (end - start).as_nanos().div_ceil(bin.as_nanos());
+    let mut sums = vec![0.0; n as usize];
+    for (t, v) in samples {
+        if t < start || t >= end {
+            continue;
         }
-        let secs = bin.as_secs_f64();
-        sums.into_iter()
-            .enumerate()
-            .map(|(i, s)| (start + bin * i as u64, s / secs))
-            .collect()
+        let idx = ((t - start).as_nanos() / bin.as_nanos()) as usize;
+        sums[idx] += v;
     }
-}
-
-impl FromIterator<(SimTime, f64)> for TimeSeries {
-    fn from_iter<I: IntoIterator<Item = (SimTime, f64)>>(iter: I) -> Self {
-        TimeSeries {
-            samples: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<(SimTime, f64)> for TimeSeries {
-    fn extend<I: IntoIterator<Item = (SimTime, f64)>>(&mut self, iter: I) {
-        self.samples.extend(iter);
-    }
+    let secs = bin.as_secs_f64();
+    sums.into_iter()
+        .enumerate()
+        .map(|(i, s)| (start + bin * i as u64, s / secs))
+        .collect()
 }
 
 #[cfg(test)]
@@ -483,12 +426,10 @@ mod tests {
 
     #[test]
     fn time_series_windowed_rate() {
-        let mut ts = TimeSeries::new();
         // 100 bytes at 0.1s, 0.2s, ... 0.9s
-        for i in 1..10 {
-            ts.push(SimTime::from_millis(i * 100), 100.0);
-        }
-        let rates = ts.windowed_rate(
+        let samples = (1..10).map(|i| (SimTime::from_millis(i * 100), 100.0));
+        let rates = windowed_rate(
+            samples,
             SimTime::ZERO,
             SimTime::from_secs(1),
             SimDuration::from_millis(500),
@@ -498,13 +439,5 @@ mod tests {
         assert!((rates[0].1 - 800.0).abs() < 1e-9);
         // Second window catches 0.5-0.9s (5 * 100 / 0.5).
         assert!((rates[1].1 - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_series_collect_and_sum() {
-        let ts: TimeSeries = (0..5).map(|i| (SimTime::from_secs(i), i as f64)).collect();
-        assert_eq!(ts.len(), 5);
-        assert_eq!(ts.sum(), 10.0);
-        assert!(!ts.is_empty());
     }
 }

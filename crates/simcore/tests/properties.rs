@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use fh_sim::stats::{TimeSeries, Welford};
+use fh_sim::stats::{windowed_rate, Welford};
 use fh_sim::{EventQueue, LaneQueue, QueueKind, Rng64, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -287,12 +287,13 @@ proptest! {
     ) {
         let mut sorted = samples.clone();
         sorted.sort_by_key(|&(t, _)| t);
-        let mut ts = TimeSeries::new();
-        for &(t, v) in &sorted {
-            ts.push(SimTime::from_micros(t), v);
-        }
         let end = SimTime::from_secs(10);
-        let rates = ts.windowed_rate(SimTime::ZERO, end, SimDuration::from_millis(bin_ms));
+        let rates = windowed_rate(
+            sorted.iter().map(|&(t, v)| (SimTime::from_micros(t), v)),
+            SimTime::ZERO,
+            end,
+            SimDuration::from_millis(bin_ms),
+        );
         let mass: f64 = rates.iter().map(|&(_, r)| r * (bin_ms as f64 / 1e3)).sum();
         let expected: f64 = sorted.iter().map(|&(_, v)| v).sum();
         prop_assert!((mass - expected).abs() < 1e-6 * (1.0 + expected.abs()),

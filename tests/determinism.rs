@@ -45,9 +45,8 @@ fn fingerprint(seed: u64, stepped: bool) -> Fingerprint {
         losses: flows.iter().map(|&f| scenario.flow_losses(f)).collect(),
         delays: scenario
             .flow_sink(flows[0])
-            .delays
-            .iter()
-            .map(|&(s, d)| (s, d.as_nanos()))
+            .delays()
+            .map(|(s, d)| (s, d.as_nanos()))
             .collect(),
         handoffs: (0..3).map(|i| scenario.mh_agent(i).handoffs).sum(),
         control_total: scenario.sim.shared.stats.control_total(),
